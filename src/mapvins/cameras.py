@@ -38,11 +38,6 @@ class CameraModel:
     def __deepcopy__(self, memo):
         return self
 
-    def intrinsic_matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
     def project(self, points_cam: np.ndarray) -> np.ndarray:
         """Pixel coordinates of camera-frame points (rows); no validity check."""
         p = np.atleast_2d(np.asarray(points_cam, dtype=float))

@@ -1,11 +1,13 @@
 """Deterministic, globally optimal 4DoF initialization.
 
 Pipeline: build translation-invariant measurements (TIMs) from all
-correspondence pairs, exhaustively vote yaw over a discretized grid (globally
-optimal over the grid by construction, with per-constraint slack covering the
-cell width so no true inlier can be missed), then solve the 3DoF translation
-by exact maximum-clique search over a pairwise compatibility graph, and
-finally polish with nonlinear least squares on the surviving inliers.
+correspondence pairs as arrays, count yaw votes on a fine grid from each
+constraint's closed form (it holds on at most two yaw arcs, so counting is
+interval stabbing in O(K + grid), with per-constraint slack covering the grid
+spacing so no true inlier can be missed, and the count exact at every grid
+point), then solve the 3DoF translation by exact maximum-clique search over a
+pairwise compatibility graph, and finally polish with nonlinear least squares
+on the surviving inliers.
 
 Every stage is a pure deterministic function of its inputs: repeated calls
 return bit-identical results, which is the property that distinguishes this
@@ -43,21 +45,6 @@ class InitializationError(RuntimeError):
     """Initialization could not reach the configured consensus floor."""
 
 
-@dataclass(frozen=True)
-class TimConstraint:
-    """One translation-invariant yaw constraint from a correspondence pair."""
-
-    i: int
-    j: int
-    d1: float
-    d2: float
-    d3: float
-    bound: float
-
-    def value(self, alpha: float) -> float:
-        return self.d1 * math.sin(alpha) + self.d2 * math.cos(alpha) + self.d3
-
-
 @dataclass
 class InitConfig:
     grid_step: float = math.radians(0.25)
@@ -84,10 +71,36 @@ class InitResult:
     wall_time: float
 
 
-def _tim_arrays(frame: MatchingFrame, sigma_px: float, bound_scale: float):
-    """Vectorized TIM coefficients and noise bounds for all pairs."""
+@dataclass(frozen=True, eq=False)
+class TimArrays:
+    """All translation-invariant yaw constraints of a frame, one row per pair.
+
+    Row k ties matches ``i[k] < j[k]``: yaw alpha is consistent with the pair
+    when ``|d1 sin(alpha) + d2 cos(alpha) + d3| <= bound``.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
+    bound: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d1)
+
+    def values(self, alpha: float) -> np.ndarray:
+        """d(alpha) of every constraint."""
+        return self.d1 * math.sin(alpha) + self.d2 * math.cos(alpha) + self.d3
+
+
+def build_tims(frame: MatchingFrame, sigma_px: float = 1.0,
+               bound_scale: float = 3.0) -> TimArrays:
+    """All K(K-1)/2 pairwise yaw constraints with propagated noise bounds."""
     matches = frame.matches
     n = len(matches)
+    if n < 2:
+        raise InitializationError("need at least 2 correspondences")
     rays = np.array([m.ray for m in matches]).reshape(-1, 3)
     points = np.array([m.point for m in matches]).reshape(-1, 3)
     # per-match ray sensitivity to pixel noise (conservative spectral bound)
@@ -120,90 +133,108 @@ def _tim_arrays(frame: MatchingFrame, sigma_px: float, bound_scale: float):
     sign = np.where(d2 != 0.0, np.sign(d2),
                     np.where(d1 != 0.0, np.sign(d1), np.sign(d3)))
     sign = np.where(sign == 0.0, 1.0, sign)
-    return ii, jj, d1 * sign, d2 * sign, d3 * sign, bounds
+    return TimArrays(ii, jj, d1 * sign, d2 * sign, d3 * sign, bounds)
 
 
-def build_tims(frame: MatchingFrame, sigma_px: float = 1.0,
-               bound_scale: float = 3.0) -> list[TimConstraint]:
-    """All K(K-1)/2 pairwise yaw constraints with propagated noise bounds."""
-    if len(frame.matches) < 2:
-        raise InitializationError("need at least 2 correspondences")
-    ii, jj, d1, d2, d3, bounds = _tim_arrays(frame, sigma_px, bound_scale)
-    return [TimConstraint(int(a), int(b), float(x1), float(x2), float(x3), float(nb))
-            for a, b, x1, x2, x3, nb in zip(ii, jj, d1, d2, d3, bounds)]
+def _yaw_grid(n_points: int, fine: float) -> np.ndarray:
+    """Grid a_k = -pi + k * fine, k in [0, n_points), with a_{M-k} = -a_k exactly."""
+    return (np.arange(n_points) - n_points / 2.0) * fine
 
 
-def _grid_vote(d1, d2, d3, bounds, centers, half_width):
-    """Count satisfied constraints per grid cell, padded by the cell width.
+def _arc_counts(d1, d2, d3, slack, n_points: int, fine: float) -> np.ndarray:
+    """Per grid point a_k, the number of constraints with |d(a_k)| <= slack.
 
-    A constraint votes for a cell when ``|d(center)| <= bound + L * half``
-    with L the Lipschitz constant of d; this guarantees a constraint whose
-    feasible yaw interval intersects the cell is never missed.
+    With L = hypot(d1, d2) > 0 and phi = atan2(d2, d1), d(a) = L sin(a + phi)
+    + d3, so a constraint holds on theta = a + phi in [asin lo, asin hi] and
+    [pi - asin hi, pi - asin lo], where lo, hi = (-+slack - d3) / L clipped to
+    [-1, 1].  Full circles, empty sets and arcs that touch at a tangent all
+    take this form.  Each arc becomes a range of grid indices (wrapping past
+    +-pi), counted with one difference array in O(K + M).  Rounding moves an
+    arc end by far less than the grid spacing, so across at most one grid
+    point: each end is set by testing the two grid points beside it
+    directly, and where the two arcs of one constraint then overlap the
+    second is trimmed.  Every count equals the direct test
+    ``|d1 sin a_k + d2 cos a_k + d3| <= slack``.  A constraint with L = 0
+    holds everywhere or nowhere.
     """
+    grid = _yaw_grid(n_points, fine)
+    # tables over unwrapped indices k in [-1, 2M + 1], stored at k + 1
+    sin_t, cos_t = (np.concatenate([v[-1:], v, v, v[:2]])
+                    for v in (np.sin(grid), np.cos(grid)))
     lips = np.hypot(d1, d2)
-    slack = bounds + lips * half_width
-    counts = np.zeros(len(centers), dtype=int)
-    chunk = 256
-    for lo in range(0, len(centers), chunk):
-        cs = centers[lo:lo + chunk]
-        vals = (np.outer(d1, np.sin(cs)) + np.outer(d2, np.cos(cs))) + d3[:, None]
-        counts[lo:lo + chunk] = (np.abs(vals) <= slack[:, None]).sum(axis=0)
-    return counts
+    flat = lips == 0.0
+    counts = np.full(n_points, np.count_nonzero(np.abs(d3[flat]) <= slack[flat]))
+    live = ~flat
+    d1, d2, d3, slack, lips = d1[live], d2[live], d3[live], slack[live], lips[live]
+
+    def holds(k):
+        return np.abs(d1 * sin_t[k + 1] + d2 * cos_t[k + 1] + d3) <= slack
+
+    def first_in(k):   # start of a range whose computed first point is k
+        return np.where(holds(k - 1), k - 1, np.where(holds(k), k, k + 1))
+
+    def last_in(k):    # end of a range whose computed last point is k
+        return np.where(holds(k + 1), k + 1, np.where(holds(k), k, k - 1))
+
+    asin_lo = np.arcsin(np.clip((-slack - d3) / lips, -1.0, 1.0))
+    asin_hi = np.arcsin(np.clip((slack - d3) / lips, -1.0, 1.0))
+    # arc ends in fractional grid index u = (theta - phi) / fine + M / 2
+    offset = n_points / 2.0 - np.arctan2(d2, d1) / fine
+    s1 = np.ceil(asin_lo / fine + offset).astype(np.int64)
+    shift = s1 // n_points * n_points
+    s1 -= shift
+    e1 = np.floor(asin_hi / fine + offset).astype(np.int64) - shift
+    s2 = np.ceil((math.pi - asin_hi) / fine + offset).astype(np.int64) - shift
+    e2 = np.floor((math.pi - asin_lo) / fine + offset).astype(np.int64) - shift
+    s1, e1, s2, e2 = first_in(s1), last_in(e1), first_in(s2), last_in(e2)
+    shift = s1 // n_points * n_points   # s1 in [0, M), every index below 2M
+    s1, e1, s2, e2 = s1 - shift, e1 - shift, s2 - shift, e2 - shift
+    s2 = np.maximum(s2, e1 + 1)                 # the arcs touch near theta = pi/2
+    e2 = np.minimum(e2, s1 + n_points - 1)      # and near theta = -pi/2
+
+    f1, f2 = e1 >= s1, e2 >= s2
+    starts = np.concatenate([s1[f1], s2[f2]])
+    stops = np.concatenate([e1[f1], e2[f2]]) + 1
+    high = starts >= n_points           # second arcs wholly past +pi
+    starts[high] -= n_points
+    stops[high] -= n_points
+    wraps = stops > n_points            # ranges that run on from +pi to -pi
+    stops[wraps] -= n_points
+    diff = (np.bincount(starts, minlength=n_points + 1)
+            - np.bincount(stops, minlength=n_points + 1))
+    diff[0] += np.count_nonzero(wraps)
+    return counts + np.cumsum(diff[:n_points])
 
 
-def _best_cell(centers, counts):
-    # maximize count; ties toward the smallest |alpha|
-    order = np.lexsort((centers, np.abs(centers), -counts))
-    return float(centers[order[0]]), int(counts[order[0]])
-
-
-def vote_yaw(tims: list[TimConstraint], step: float,
+def vote_yaw(tims: TimArrays, step: float,
              refine_factor: int = 50) -> tuple[float, int]:
-    """Exhaustive discretized yaw search over [-pi, pi]; grid-global optimum.
+    """Globally optimal yaw over a fine grid on [-pi, pi).
 
-    The count at a coarse cell, padded by the cell width, upper-bounds the
-    count of every fine grid point inside it, so descending over coarse cells
-    and refining until no remaining bound can beat the best fine count yields
-    the exact optimum of the fine grid (step / refine_factor) while touching
-    only a handful of cells.  Deterministic; ties toward the smallest |alpha|.
+    The grid has M = n_cells * refine_factor points a_k = -pi + k * fine,
+    k in [0, M), with n_cells = max(8, ceil(2 pi / step)) and fine = 2 pi / M.
+    A constraint votes for a_k when ``|d(a_k)| <= bound + hypot(d1, d2) *
+    fine / 2``: the slack covers half the spacing, so a constraint whose
+    feasible yaw lies between two grid points is never missed.  Every grid
+    count is exact (see :func:`_arc_counts`).  Returns the yaw with the
+    largest count and that count; ties go to the smallest |a_k|, then to the
+    smallest a_k.  Deterministic, O(K + M) in time and memory.
     """
     if step <= 0:
         raise ValueError("grid step must be positive")
-    if not tims:
+    if len(tims) == 0:
         raise InitializationError("empty constraint set")
-    d1 = np.array([t.d1 for t in tims])
-    d2 = np.array([t.d2 for t in tims])
-    d3 = np.array([t.d3 for t in tims])
-    bounds = np.array([t.bound for t in tims])
-
     n_cells = max(8, int(math.ceil(2.0 * math.pi / step)))
-    h = 2.0 * math.pi / n_cells
-    fine = h / refine_factor
-    centers = -math.pi + (np.arange(n_cells) + 0.5) * h
-    # pad by the fine half-width too so the bound covers fine points exactly
-    upper = _grid_vote(d1, d2, d3, bounds, centers, (h + fine) / 2.0)
-
-    order = np.lexsort((centers, np.abs(centers), -upper))
-    best_alpha, best_count = 0.0, -1
-    for cell in order:
-        if upper[cell] < best_count or (upper[cell] == best_count and best_count >= 0):
-            break  # no remaining cell can beat (or improve the tie on) best
-        offsets = np.arange(-(refine_factor // 2), refine_factor // 2 + 1) * fine
-        fine_centers = np.array([wrap_angle(centers[cell] + o) for o in offsets])
-        fine_counts = _grid_vote(d1, d2, d3, bounds, fine_centers, fine / 2.0)
-        alpha_c, count_c = _best_cell(fine_centers, fine_counts)
-        if count_c > best_count or (count_c == best_count
-                                    and (abs(alpha_c), alpha_c)
-                                    < (abs(best_alpha), best_alpha)):
-            best_alpha, best_count = alpha_c, count_c
-    return best_alpha, best_count
+    fine = 2.0 * math.pi / n_cells / refine_factor
+    n_points = n_cells * refine_factor
+    slack = tims.bound + np.hypot(tims.d1, tims.d2) * (fine / 2.0)
+    counts = _arc_counts(tims.d1, tims.d2, tims.d3, slack, n_points, fine)
+    tied = np.flatnonzero(counts == counts.max())
+    best = int(tied[np.argmin(np.abs(2 * tied - n_points))])
+    return float((best - n_points / 2.0) * fine), int(counts[best])
 
 
-def _least_squares_yaw(tims, alpha0: float) -> float:
+def _least_squares_yaw(d1, d2, d3, alpha0: float) -> float:
     """Newton refinement of sum d(alpha)^2 over the given constraints."""
-    d1 = np.array([t.d1 for t in tims])
-    d2 = np.array([t.d2 for t in tims])
-    d3 = np.array([t.d3 for t in tims])
     alpha = alpha0
     for _ in range(8):
         s, c = math.sin(alpha), math.cos(alpha)
@@ -347,11 +378,6 @@ def max_cliques(adjacency: np.ndarray, cap: int = 512) -> list[list[int]]:
     return found
 
 
-def max_clique(adjacency: np.ndarray) -> list[int]:
-    """One exact maximum clique (first tie in deterministic search order)."""
-    return max_cliques(adjacency, cap=1)[0]
-
-
 def _clique_translation(frame: MatchingFrame, idx, clique_local, alpha: float,
                         depths: np.ndarray) -> np.ndarray:
     """Pixel-weighted least-squares translation over clique members."""
@@ -442,8 +468,6 @@ def initialize_frame(frame: MatchingFrame, config: InitConfig | None = None) -> 
     """Run the full deterministic pipeline on prepared matches."""
     config = config or InitConfig()
     t0 = time.perf_counter()
-    if len(frame.matches) < 2:
-        raise InitializationError("need at least 2 correspondences")
     tims = build_tims(frame, config.sigma_px, config.tim_bound_scale)
     alpha_fine, consensus = vote_yaw(tims, config.grid_step, config.refine_factor)
     if consensus < config.min_consensus:
@@ -451,10 +475,13 @@ def initialize_frame(frame: MatchingFrame, config: InitConfig | None = None) -> 
             f"yaw consensus {consensus} below floor {config.min_consensus}")
 
     fine_half = config.grid_step / config.refine_factor / 2.0
-    retained = [t for t in tims
-                if abs(t.value(alpha_fine)) <= t.bound + math.hypot(t.d1, t.d2) * fine_half]
-    alpha_ls = _least_squares_yaw(retained, alpha_fine) if retained else alpha_fine
-    kept_idx = sorted({t.i for t in retained} | {t.j for t in retained})
+    retained = (np.abs(tims.values(alpha_fine))
+                <= tims.bound + np.hypot(tims.d1, tims.d2) * fine_half)
+    alpha_ls = alpha_fine
+    if retained.any():
+        alpha_ls = _least_squares_yaw(tims.d1[retained], tims.d2[retained],
+                                      tims.d3[retained], alpha_fine)
+    kept_idx = np.union1d(tims.i[retained], tims.j[retained]).tolist()
     if not kept_idx:
         kept_idx = list(range(len(frame.matches)))
 

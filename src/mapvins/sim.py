@@ -545,9 +545,6 @@ class Scenario:
     def frame_pose(self, frame: int) -> RigidTransform:
         return self.trajectory.pose(int(self.frame_indices[frame]))
 
-    def events_at(self, frame: int) -> list[MapMatchEvent]:
-        return [e for e in self.map_events if e.frame == frame]
-
     def to_json(self) -> str:
         def pose_dict(tr: RigidTransform):
             return {"q": tr.rotation.quaternion.tolist(), "p": tr.translation.tolist()}
@@ -586,10 +583,6 @@ class Scenario:
             } for e in self.map_events],
         }
         return json.dumps(doc, sort_keys=True)
-
-
-def make_scenario(config: ScenarioConfig) -> Scenario:
-    return Scenario(config)
 
 
 def make_matching_problem(n: int, inlier_rate: float, sigma_px: float, seed: int,

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from mapvins.geometry import YawPose, wrap_angle
 from mapvins.initializer import (
     InitConfig,
     InitializationError,
-    TimConstraint,
+    TimArrays,
     build_tims,
     compatibility_graph,
     initialize_frame,
-    max_clique,
     max_cliques,
     solve_translation,
     vote_yaw,
+    _arc_counts,
     _provisional_depths,
+    _yaw_grid,
 )
 from mapvins.sim import make_matching_problem
 from mapvins.solvers import align_correspondences
@@ -31,6 +33,35 @@ def aligned_problem(n, inlier_rate, sigma_px, seed, tilt=0.1):
     frame = align_correspondences(corrs, [camera], wfc.rotation)
     true_inliers = {i for i, c in enumerate(corrs) if c.is_inlier}
     return frame, truth, true_inliers
+
+
+def tim_rows(*rows):
+    """TimArrays from (i, j, d1, d2, d3, bound) tuples."""
+    cols = list(zip(*rows)) if rows else [()] * 6
+    return TimArrays(*(np.array(c, dtype=int) for c in cols[:2]),
+                     *(np.array(c, dtype=float) for c in cols[2:]))
+
+
+def direct_counts(d1, d2, d3, slack, n_points, fine):
+    """Oracle: every constraint evaluated at every grid point."""
+    grid = _yaw_grid(n_points, fine)
+    sin_g, cos_g = np.sin(grid), np.cos(grid)
+    counts = np.zeros(n_points, dtype=np.int64)
+    for lo in range(0, n_points, 4096):
+        vals = (np.outer(d1, sin_g[lo:lo + 4096]) + np.outer(d2, cos_g[lo:lo + 4096])
+                + d3[:, None])
+        counts[lo:lo + 4096] = (np.abs(vals) <= slack[:, None]).sum(axis=0)
+    return counts
+
+
+def grid_of(step, refine_factor=50):
+    n_cells = max(8, int(math.ceil(2.0 * math.pi / step)))
+    return n_cells * refine_factor, 2.0 * math.pi / n_cells / refine_factor
+
+
+def max_clique(adjacency):
+    """One exact maximum clique (first tie in deterministic search order)."""
+    return max_cliques(adjacency, cap=1)[0]
 
 
 def brute_force_max_cliques(adjacency):
@@ -69,24 +100,25 @@ class TestBuildTims:
         frame = MatchingFrame(matches, {0: cam}, {0: RigidTransform.identity()})
         tims = build_tims(frame, sigma_px=0.0)
         assert len(tims) == len(pts) * (len(pts) - 1) // 2  # K(K-1)/2
-        for t in tims:
-            assert abs(t.value(truth.yaw)) < 1e-10
-            assert t.bound > 0
+        assert np.all(np.abs(tims.values(truth.yaw)) < 1e-10)
+        assert np.all(tims.bound > 0)
 
     def test_inlier_outlier_pairs_typically_violate(self):
         frame, truth, true_inliers = aligned_problem(40, 0.5, 1.0, seed=2)
         tims = build_tims(frame, sigma_px=1.0)
-        mixed = [t for t in tims if (t.i in true_inliers) != (t.j in true_inliers)]
-        violations = sum(abs(t.value(truth.yaw)) > t.bound for t in mixed)
-        assert violations > 0.8 * len(mixed)
+        inl = list(true_inliers)
+        mixed = np.isin(tims.i, inl) != np.isin(tims.j, inl)
+        violations = np.count_nonzero(np.abs(tims.values(truth.yaw))[mixed]
+                                      > tims.bound[mixed])
+        assert violations > 0.8 * np.count_nonzero(mixed)
 
     def test_inlier_pairs_respect_bound_at_true_yaw(self):
         for seed in range(5):
             frame, truth, true_inliers = aligned_problem(50, 0.6, 1.0, seed=seed)
             tims = build_tims(frame, sigma_px=1.0)
-            for t in tims:
-                if t.i in true_inliers and t.j in true_inliers:
-                    assert abs(t.value(truth.yaw)) <= t.bound
+            inl = list(true_inliers)
+            both = np.isin(tims.i, inl) & np.isin(tims.j, inl)
+            assert np.all(np.abs(tims.values(truth.yaw))[both] <= tims.bound[both])
 
     def test_single_match_rejected(self):
         frame, *_ = aligned_problem(4, 1.0, 0.0, seed=3)
@@ -120,10 +152,7 @@ class TestVoteYaw:
             frame, truth, _ = aligned_problem(40, 0.5, 1.0, seed=10 + seed)
             tims = build_tims(frame, sigma_px=1.0)
             alpha, count = vote_yaw(tims, step)
-            d1 = np.array([t.d1 for t in tims])
-            d2 = np.array([t.d2 for t in tims])
-            d3 = np.array([t.d3 for t in tims])
-            bounds = np.array([t.bound for t in tims])
+            d1, d2, d3, bounds = tims.d1, tims.d2, tims.d3, tims.bound
             slack = bounds + np.hypot(d1, d2) * (step / 50.0) / 2.0
             grid = np.arange(-math.pi, math.pi, step / 100.0)
             best = 0
@@ -147,13 +176,14 @@ class TestVoteYaw:
             alpha, _ = vote_yaw(tims, step)
             assert abs(wrap_angle(alpha - truth.yaw)) <= math.radians(2.0)
             fine_half = (step / 50.0) / 2.0
-            for t in tims:
-                if t.i in true_inliers and t.j in true_inliers:
-                    assert abs(t.value(alpha)) <= t.bound + math.hypot(t.d1, t.d2) * fine_half
+            inl = list(true_inliers)
+            both = np.isin(tims.i, inl) & np.isin(tims.j, inl)
+            pad = tims.bound + np.hypot(tims.d1, tims.d2) * fine_half
+            assert np.all(np.abs(tims.values(alpha))[both] <= pad[both])
 
     def test_single_tim_returns_a_root(self):
-        tim = TimConstraint(0, 1, 1.0, 0.0, -0.5, 1e-6)  # sin(alpha) = 0.5
-        alpha, count = vote_yaw([tim], math.radians(0.25))
+        tim = tim_rows((0, 1, 1.0, 0.0, -0.5, 1e-6))  # sin(alpha) = 0.5
+        alpha, count = vote_yaw(tim, math.radians(0.25))
         assert count == 1
         assert min(abs(wrap_angle(alpha - math.pi / 6)),
                    abs(wrap_angle(alpha - 5 * math.pi / 6))) < math.radians(0.01)
@@ -162,9 +192,116 @@ class TestVoteYaw:
 
     def test_empty_and_bad_step(self):
         with pytest.raises(InitializationError):
-            vote_yaw([], math.radians(0.25))
+            vote_yaw(tim_rows(), math.radians(0.25))
         with pytest.raises(ValueError):
-            vote_yaw([TimConstraint(0, 1, 1, 0, 0, 1e-3)], 0.0)
+            vote_yaw(tim_rows((0, 1, 1, 0, 0, 1e-3)), 0.0)
+
+    def test_ties_go_to_smallest_abs_yaw_then_negative(self):
+        # Table-3 N = 15: 373 fine points tie at 34; the answer is the
+        # lexicographic optimum (count, -|a|, -a) of a brute force over the grid
+        step = math.radians(0.25)
+        frame, *_ = aligned_problem(15, 0.47, 1.0, seed=15)
+        tims = build_tims(frame, sigma_px=1.0)
+        n_points, fine = grid_of(step)
+        slack = tims.bound + np.hypot(tims.d1, tims.d2) * (fine / 2.0)
+        counts = direct_counts(tims.d1, tims.d2, tims.d3, slack, n_points, fine)
+        grid = _yaw_grid(n_points, fine)
+        tied = np.flatnonzero(counts == counts.max())
+        oracle = grid[tied[np.lexsort((grid[tied], np.abs(grid[tied])))[0]]]
+        alpha, count = vote_yaw(tims, step)
+        assert (alpha, count) == (oracle, counts.max())
+        assert count == 34 and len(tied) > 1
+        assert abs(alpha - 0.3135) < 5e-5
+        # two constraints whose feasible sets mirror each other: +a and -a tie
+        a = 0.4
+        pair = tim_rows((0, 1, 1.0, 0.0, -math.sin(a), 1e-3),
+                        (2, 3, 1.0, 0.0, math.sin(a), 1e-3))
+        alpha, count = vote_yaw(pair, step)
+        assert count == 1
+        assert -a - math.radians(0.5) < alpha < 0.0
+        slack = pair.bound + np.hypot(pair.d1, pair.d2) * (fine / 2.0)
+        mirror = int(round(-alpha / fine + n_points / 2.0))
+        assert grid[mirror] == -alpha
+        assert _arc_counts(pair.d1, pair.d2, pair.d3, slack, n_points, fine)[mirror] == 1
+
+    def test_grid_is_minus_pi_plus_k_fine(self):
+        for step, refine in ((math.radians(0.25), 50), (math.radians(7.0), 7)):
+            n_points, fine = grid_of(step, refine)
+            grid = _yaw_grid(n_points, fine)
+            assert np.abs(grid - (-math.pi + np.arange(n_points) * fine)).max() < 1e-14
+            assert np.array_equal(grid[1:][::-1], -grid[1:])
+
+
+class TestArcCounts:
+    @staticmethod
+    def constraint_set(rng, n_points, fine):
+        """Random constraints plus every boundary case of the arc form."""
+        k = 300
+        d1, d2 = rng.normal(size=k), rng.normal(size=k)
+        d3 = rng.normal(scale=0.7, size=k)
+        slack = np.abs(rng.normal(scale=0.1, size=k))
+        grid = _yaw_grid(n_points, fine)
+        rows = [
+            (0.0, 0.0, 0.1, 0.2),             # L = 0, feasible everywhere
+            (0.0, 0.0, 0.3, 0.2),             # L = 0, feasible nowhere
+            (0.0, 0.0, -0.2, 0.2),            # L = 0, on the bound
+            (1.0, 0.0, 0.0, 2.0),             # full circle
+            (0.6, -0.8, 0.1, 0.9),            # full circle, barely
+            (1.0, 0.0, -2.0, 0.5),            # empty: lo > 1
+            (0.0, 1.0, 2.0, 0.5),             # empty: hi < -1
+            (1.0, 0.0, -0.75, 0.25),          # tangent: hi == 1 exactly
+            (0.0, -1.0, 0.75, 0.25),          # tangent: lo == -1 exactly
+            (1.0, 0.0, 0.0, 1.0),             # both tangents: full circle
+            (1.0, 0.0, 0.0, 0.2),             # second arc crosses +-pi
+            (0.0, 1.0, 0.9, 0.2),             # arc centred on +-pi
+        ]
+        # zero-width arcs exactly on grid points
+        for idx in rng.integers(0, n_points, size=20):
+            rows.append((1.0, 0.0, -math.sin(grid[idx]), 0.0))
+        # near-tangent arcs at random phases, just inside and outside
+        for eps in (-1e-12, 0.0, 1e-12, 1e-9):
+            phase = rng.uniform(-math.pi, math.pi)
+            c1, c2 = math.cos(phase), math.sin(phase)
+            rows.append((c1, c2, -(math.hypot(c1, c2) * (1.0 + eps) - 0.05), 0.05))
+        extra = np.array(rows)
+        return (np.concatenate([d1, extra[:, 0]]), np.concatenate([d2, extra[:, 1]]),
+                np.concatenate([d3, extra[:, 2]]),
+                np.concatenate([slack, extra[:, 3]]))
+
+    def test_counts_equal_direct_evaluation_at_every_point(self):
+        rng = np.random.default_rng(11)
+        for step, refine in ((math.radians(0.25), 50), (math.radians(7.0), 7)):
+            n_points, fine = grid_of(step, refine)
+            for _ in range(3):
+                d1, d2, d3, slack = self.constraint_set(rng, n_points, fine)
+                got = _arc_counts(d1, d2, d3, slack, n_points, fine)
+                assert np.array_equal(got, direct_counts(d1, d2, d3, slack,
+                                                         n_points, fine))
+
+    def test_counts_equal_direct_evaluation_on_real_tims(self):
+        step = math.radians(0.25)
+        n_points, fine = grid_of(step)
+        for n, w, seed in ((15, 0.47, 15), (60, 0.3, 9003), (80, 0.4, 80)):
+            frame, *_ = aligned_problem(n, w, 1.0, seed=seed)
+            tims = build_tims(frame, sigma_px=1.0)
+            slack = tims.bound + np.hypot(tims.d1, tims.d2) * (fine / 2.0)
+            got = _arc_counts(tims.d1, tims.d2, tims.d3, slack, n_points, fine)
+            assert np.array_equal(got, direct_counts(tims.d1, tims.d2, tims.d3, slack,
+                                                     n_points, fine))
+
+    def test_vote_memory_is_linear(self):
+        # N = 400 at 85 % outliers: 79,800 TIMs; dense grid products would
+        # need hundreds of MB
+        frame, *_ = aligned_problem(400, 0.15, 1.0, seed=400)
+        tims = build_tims(frame, sigma_px=1.0)
+        tracemalloc.start()
+        try:
+            vote_yaw(tims, math.radians(0.25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tims) == 79800
+        assert peak < 64 * 2 ** 20
 
 
 class TestSolveTranslation:
