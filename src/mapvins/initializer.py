@@ -13,18 +13,23 @@ Every stage is a pure deterministic function of its inputs: repeated calls
 return bit-identical results, which is the property that distinguishes this
 module from the RANSAC path.
 
-Geometry of a TIM, for rays through the origin (the single-camera case):
-a pair (i, j) is consistent with yaw alpha iff the rotated baseline
-``R(alpha) @ (F_i - F_j)`` is coplanar with the two rays, i.e.
+Geometry of a TIM (see :mod:`mapvins.solvers`, which computes it for both
+RANSAC and this module in :func:`mapvins.solvers.pair_tims`): match k's ray
+leaves center c_k along r_k (c_k = 0 for one camera, the camera's position in
+the solving frame on a rig).  A pair (i, j) is consistent with yaw alpha iff
+the rotated baseline minus the center offset is coplanar with the two rays,
+i.e.
 
-    d(alpha) = (r_i x r_j) . (R(alpha) @ (F_i - F_j)) = 0
+    d(alpha) = (r_i x r_j) . (R(alpha) @ (F_i - F_j) - (c_i - c_j)) = 0
 
 which expands to ``d1 sin(alpha) + d2 cos(alpha) + d3`` with coefficients
-from the correspondence geometry alone.
+from the correspondence geometry alone.  Its noise bound propagates pixel
+noise through both rays, the center offset included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -37,6 +42,7 @@ from mapvins.sim import Correspondence
 from mapvins.solvers import (
     MatchingFrame,
     align_correspondences,
+    pair_tims,
     refine_yaw_pose,
 )
 
@@ -97,48 +103,50 @@ class TimArrays:
 def build_tims(frame: MatchingFrame, sigma_px: float = 1.0,
                bound_scale: float = 3.0) -> TimArrays:
     """All K(K-1)/2 pairwise yaw constraints with propagated noise bounds."""
-    matches = frame.matches
-    n = len(matches)
+    n = len(frame)
     if n < 2:
         raise InitializationError("need at least 2 correspondences")
-    rays = np.array([m.ray for m in matches]).reshape(-1, 3)
-    points = np.array([m.point for m in matches]).reshape(-1, 3)
     # per-match ray sensitivity to pixel noise (conservative spectral bound)
-    jac = np.empty(n)
-    for k, m in enumerate(matches):
-        cam = frame.cameras[m.camera_id]
-        v = cam.normalize(m.pixel)
-        jac[k] = 1.0 / (min(cam.fx, cam.fy) * np.linalg.norm(v))
+    intr = frame.intrinsics
+    v = np.column_stack([(frame.pixels - intr[:, 2:]) / intr[:, :2], np.ones(n)])
+    jac = 1.0 / (np.minimum(intr[:, 0], intr[:, 1]) * np.linalg.norm(v, axis=1))
 
     ii, jj = np.triu_indices(n, k=1)
-    m_vec = np.cross(rays[ii], rays[jj])
-    delta = points[ii] - points[jj]
-    a_vec = np.column_stack([delta[:, 0], delta[:, 1], np.zeros(len(ii))])
-    b_vec = np.column_stack([-delta[:, 1], delta[:, 0], np.zeros(len(ii))])
-    c_vec = np.column_stack([np.zeros(len(ii)), np.zeros(len(ii)), delta[:, 2]])
-    d1 = np.einsum("kj,kj->k", m_vec, b_vec)
-    d2 = np.einsum("kj,kj->k", m_vec, a_vec)
-    d3 = np.einsum("kj,kj->k", m_vec, c_vec)
+    ray_i, ray_j = frame.rays[ii], frame.rays[jj]
+    delta = frame.points[ii] - frame.points[jj]
+    center_delta = frame.centers[ii] - frame.centers[jj]
+    _, d1, d2, d3 = pair_tims(ray_i, ray_j, delta, center_delta)
 
-    # d depends on each ray through (other_ray x w(alpha)); bound the dual
-    # vector norm over alpha by |r x C| + horizontal radius, then combine the
-    # two independent pixel noises in quadrature
+    # d depends on each ray through (other_ray x w(alpha)), w(alpha) =
+    # R(alpha) delta - (c_i - c_j); bound the dual vector norm over alpha by
+    # |r x w0| + horizontal radius, w0 the yaw-free part of w, then combine
+    # the two independent pixel noises in quadrature
+    w0 = np.column_stack([np.zeros(len(ii)), np.zeros(len(ii)), delta[:, 2]]) - center_delta
     rho = np.linalg.norm(delta[:, :2], axis=1)
-    g_i = np.linalg.norm(np.cross(rays[jj], c_vec), axis=1) + rho
-    g_j = np.linalg.norm(np.cross(rays[ii], c_vec), axis=1) + rho
+    g_i = np.linalg.norm(np.cross(ray_j, w0), axis=1) + rho
+    g_j = np.linalg.norm(np.cross(ray_i, w0), axis=1) + rho
     sensitivity = np.sqrt((g_i * jac[ii]) ** 2 + (g_j * jac[jj]) ** 2)
     floor = 1e-9 * (1.0 + np.linalg.norm(delta, axis=1))
     bounds = bound_scale * sigma_px * math.sqrt(2.0) * sensitivity + floor
-
-    sign = np.where(d2 != 0.0, np.sign(d2),
-                    np.where(d1 != 0.0, np.sign(d1), np.sign(d3)))
-    sign = np.where(sign == 0.0, 1.0, sign)
-    return TimArrays(ii, jj, d1 * sign, d2 * sign, d3 * sign, bounds)
+    return TimArrays(ii, jj, d1, d2, d3, bounds)
 
 
 def _yaw_grid(n_points: int, fine: float) -> np.ndarray:
     """Grid a_k = -pi + k * fine, k in [0, n_points), with a_{M-k} = -a_k exactly."""
     return (np.arange(n_points) - n_points / 2.0) * fine
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_tables(n_points: int, fine: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sin and cos of the grid at unwrapped indices k in [-1, 2M + 1].
+
+    Entry k + 1 holds index k, so callers index past both ends without a wrap.
+    """
+    grid = _yaw_grid(n_points, fine)
+    tables = tuple(np.concatenate([v[-1:], v, v, v[:2]]) for v in (np.sin(grid), np.cos(grid)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _arc_counts(d1, d2, d3, slack, n_points: int, fine: float) -> np.ndarray:
@@ -157,10 +165,7 @@ def _arc_counts(d1, d2, d3, slack, n_points: int, fine: float) -> np.ndarray:
     ``|d1 sin a_k + d2 cos a_k + d3| <= slack``.  A constraint with L = 0
     holds everywhere or nowhere.
     """
-    grid = _yaw_grid(n_points, fine)
-    # tables over unwrapped indices k in [-1, 2M + 1], stored at k + 1
-    sin_t, cos_t = (np.concatenate([v[-1:], v, v, v[:2]])
-                    for v in (np.sin(grid), np.cos(grid)))
+    sin_t, cos_t = _grid_tables(n_points, fine)
     lips = np.hypot(d1, d2)
     flat = lips == 0.0
     counts = np.full(n_points, np.count_nonzero(np.abs(d3[flat]) <= slack[flat]))
@@ -251,29 +256,26 @@ def _least_squares_yaw(d1, d2, d3, alpha0: float) -> float:
     return alpha
 
 
-def _member_rows(frame: MatchingFrame, idx, alpha: float):
-    """Per-member linear rows at fixed yaw: rows @ t = rhs (ray space)."""
-    from mapvins.solvers import match_row_arrays
-
-    cos_c, sin_c, bas, con = match_row_arrays([frame.matches[k] for k in idx])
-    rhs = -(cos_c * math.cos(alpha) + sin_c * math.sin(alpha) + con)  # (m, 2)
-    return bas, rhs
-
-
 def _provisional_depths(frame: MatchingFrame, idx, alpha: float,
                         translation) -> np.ndarray:
     """Depth of each match along its camera's optical axis at a trial pose."""
     rot = np.array([[math.cos(alpha), -math.sin(alpha), 0.0],
                     [math.sin(alpha), math.cos(alpha), 0.0],
                     [0.0, 0.0, 1.0]])
-    depths = np.empty(len(idx))
-    for k, gi in enumerate(idx):
-        m = frame.matches[gi]
-        cfs = frame.cam_from_solving[m.camera_id]
-        p_cam = cfs.rotation.as_matrix() @ (rot @ m.point + translation) \
-            + cfs.translation
-        depths[k] = max(p_cam[2], 0.5)
-    return depths
+    solved = (rot @ frame.points[idx][:, :, None])[:, :, 0] + translation
+    p_cam = ((frame.cam_rotation[idx] @ solved[:, :, None])[:, :, 0]
+             + frame.cam_translation[idx])
+    return np.maximum(p_cam[:, 2], 0.5)
+
+
+def _weighted_rows(frame: MatchingFrame, idx, alpha: float, depths: np.ndarray):
+    """Members' ray rows and right-hand sides at yaw alpha, scaled by f/depth.
+
+    Residuals of ``rows @ t - rhs`` are then in pixel units.
+    """
+    kappa = 0.5 * (frame.intrinsics[idx, 0] + frame.intrinsics[idx, 1]) / depths
+    rhs = frame.rhs(idx, math.cos(alpha), math.sin(alpha))
+    return frame.basis[idx] * kappa[:, None, None], rhs * kappa[:, None]
 
 
 def _pair_feasibility(frame: MatchingFrame, idx, alpha: float,
@@ -291,14 +293,7 @@ def _pair_feasibility(frame: MatchingFrame, idx, alpha: float,
     (ill-conditioned) pairs come out with small residuals and are adjacent,
     which matches the geometry: their feasible translation set is huge.
     """
-    bas, rhs = _member_rows(frame, idx, alpha)
-    kappa = np.empty(len(idx))
-    for k, gi in enumerate(idx):
-        cam = frame.cameras[frame.matches[gi].camera_id]
-        kappa[k] = 0.5 * (cam.fx + cam.fy) / depths[k]
-    w_rows = bas * kappa[:, None, None]
-    w_rhs = rhs * kappa[:, None]
-
+    w_rows, w_rhs = _weighted_rows(frame, idx, alpha, depths)
     m = len(idx)
     ii, jj = np.triu_indices(m, k=1)
     rows = np.concatenate([w_rows[ii], w_rows[jj]], axis=1)   # (p, 4, 3)
@@ -378,21 +373,6 @@ def max_cliques(adjacency: np.ndarray, cap: int = 512) -> list[list[int]]:
     return found
 
 
-def _clique_translation(frame: MatchingFrame, idx, clique_local, alpha: float,
-                        depths: np.ndarray) -> np.ndarray:
-    """Pixel-weighted least-squares translation over clique members."""
-    bas, rhs = _member_rows(frame, idx, alpha)
-    kappa = np.empty(len(idx))
-    for k, gi in enumerate(idx):
-        cam = frame.cameras[frame.matches[gi].camera_id]
-        kappa[k] = 0.5 * (cam.fx + cam.fy) / depths[k]
-    sel = np.asarray(clique_local, dtype=int)
-    rows = (bas[sel] * kappa[sel, None, None]).reshape(-1, 3)
-    rr = (rhs[sel] * kappa[sel, None]).ravel()
-    t_hat, *_ = np.linalg.lstsq(rows, rr, rcond=None)
-    return t_hat
-
-
 def solve_translation(frame: MatchingFrame, indices, alpha: float,
                       bound_px: float, slack_px: float = 0.0,
                       depths: np.ndarray | None = None
@@ -412,20 +392,20 @@ def solve_translation(frame: MatchingFrame, indices, alpha: float,
         raise InitializationError("empty correspondence set for translation")
     bounds_px = np.full(len(idx), bound_px)
     if len(idx) == 1:
-        bas, rhs = _member_rows(frame, idx, alpha)
-        t, *_ = np.linalg.lstsq(bas[0], rhs[0], rcond=None)
+        rhs = frame.rhs(idx[0], math.cos(alpha), math.sin(alpha))
+        t, *_ = np.linalg.lstsq(frame.basis[idx[0]], rhs, rcond=None)
         return t, [idx[0]]
 
     if depths is None:
         depths = _median_pair_depths(frame, idx, alpha)
     adjacency = compatibility_graph(frame, idx, alpha, depths, bounds_px, slack_px)
-    candidates = max_cliques(adjacency)
-    best = None  # (rss, members, translation); ties on fit quality
-    for clique_local in candidates:
-        if not clique_local:
-            clique_local = [0]
-        t_fit = _clique_translation(frame, idx, clique_local, alpha, depths)
-        rss = _clique_residual(frame, idx, clique_local, alpha, depths, t_fit)
+    w_rows, w_rhs = _weighted_rows(frame, idx, alpha, depths)
+    best = None  # (key, members, translation); ties on fit quality
+    for clique_local in max_cliques(adjacency):
+        clique_local = clique_local or [0]
+        rows, rr = w_rows[clique_local], w_rhs[clique_local]
+        t_fit, *_ = np.linalg.lstsq(rows.reshape(-1, 3), rr.ravel(), rcond=None)
+        rss = float(np.linalg.norm(np.einsum("mki,i->mk", rows, t_fit) - rr))
         key = (rss, tuple(clique_local))
         if best is None or key < best[0]:
             best = (key, clique_local, t_fit)
@@ -433,21 +413,9 @@ def solve_translation(frame: MatchingFrame, indices, alpha: float,
     return t_hat, [idx[k] for k in clique_local]
 
 
-def _clique_residual(frame: MatchingFrame, idx, clique_local, alpha: float,
-                     depths: np.ndarray, t_fit: np.ndarray) -> float:
-    bas, rhs = _member_rows(frame, idx, alpha)
-    kappa = np.empty(len(idx))
-    for k, gi in enumerate(idx):
-        cam = frame.cameras[frame.matches[gi].camera_id]
-        kappa[k] = 0.5 * (cam.fx + cam.fy) / depths[k]
-    sel = np.asarray(clique_local, dtype=int)
-    resid = (np.einsum("mki,i->mk", bas[sel], t_fit) - rhs[sel]) * kappa[sel, None]
-    return float(np.linalg.norm(resid))
-
-
 def _median_pair_depths(frame: MatchingFrame, idx, alpha: float) -> np.ndarray:
     """Provisional depths from the median of well-conditioned pair solves."""
-    bas, rhs = _member_rows(frame, idx, alpha)
+    bas, rhs = frame.basis[idx], frame.rhs(idx, math.cos(alpha), math.sin(alpha))
     m = len(idx)
     ii, jj = np.triu_indices(m, k=1)
     rows = np.concatenate([bas[ii], bas[jj]], axis=1)
@@ -483,7 +451,7 @@ def initialize_frame(frame: MatchingFrame, config: InitConfig | None = None) -> 
                                       tims.d3[retained], alpha_fine)
     kept_idx = np.union1d(tims.i[retained], tims.j[retained]).tolist()
     if not kept_idx:
-        kept_idx = list(range(len(frame.matches)))
+        kept_idx = list(range(len(frame)))
 
     # round 1: generous slack absorbs the residual yaw-estimate error, the
     # polish on the resulting clique then pins yaw accurately

@@ -2,20 +2,24 @@
 
 The estimation problem: with pitch and roll known from inertial sensing, the
 pose between a gravity-aligned query frame and a gravity-aligned map frame
-has 4 degrees of freedom, one yaw angle plus translation.  Two 2D-3D
-correspondences then suffice for a minimal solution: each correspondence
-pins the transformed map point to its projection ray (two constraints), and
-eliminating the translation from the four constraints leaves a single
-trigonometric equation
+has 4 degrees of freedom, one yaw angle plus translation, ``X = R(alpha) F +
+t``.  Everything works on rays with per-ray centers in one gravity-aligned
+solving frame (a generalized camera: Pless, "Using Many Cameras as One", CVPR
+2003), so the same code covers one camera (every center is 0) and a
+calibrated rig whose correspondences are pooled.
 
-    d1 * sin(alpha) + d2 * cos(alpha) + d3 = 0
+Match k pins ``R(alpha) F_k + t`` to its ray ``c_k + lambda r_k``.  For a pair
+(i, j) the translation cancels in the difference, which must lie in the
+plane of the two rays:
 
-whose up-to-two roots back-substitute into a linear system for t.
+    d(alpha) = (r_i x r_j) . (R(alpha) (F_i - F_j) - (c_i - c_j))
+             = d1 sin(alpha) + d2 cos(alpha) + d3 = 0
 
-Everything here works on rays, not normalized image coordinates, so the same
-solver covers the single-camera case (all rays through the origin) and the
-multi-camera case where correspondences from a rigid rig are expressed in
-one unified gravity-aligned reference frame with per-ray centers.
+This translation-invariant measurement (TIM) of the pair is computed in one
+place, :func:`pair_tims`.  Its up-to-two roots are the yaw candidates of the
+2-point solver (:func:`_solve_pairs`), which then solves t from the pair's
+four ray rows ``basis_k (R(alpha) F_k + t - c_k) = 0``; the initializer votes
+on the same TIMs.
 
 Solved pose convention: ``cam_from_map`` such that
 ``X_query = R(yaw) @ F_map + t``.  ``MatchResult.pose_in_map`` gives the
@@ -25,59 +29,91 @@ inverse, the query pose expressed in the queried map's frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from mapvins.cameras import CameraModel
-from mapvins.geometry import RigidTransform, Rotation, YawPose, decompose_yaw, wrap_angle
+from mapvins.geometry import RigidTransform, Rotation, YawPose, decompose_yaw
 from mapvins.sim import Correspondence
 
 _MIN_DEPTH = 1e-3
-
-
-class DegenerateSampleError(ValueError):
-    """The sampled correspondence pair cannot constrain the 4DoF pose."""
 
 
 class MatchingFailureError(RuntimeError):
     """RANSAC could not produce a pose meeting the inlier floor."""
 
 
-@dataclass(frozen=True)
-class BearingMatch:
-    """One correspondence lifted into the gravity-aligned solving frame."""
-
-    ray: np.ndarray          # unit direction in the solving frame
-    center: np.ndarray       # ray origin in the solving frame (0 for mono)
-    point: np.ndarray        # landmark position in the map frame
-    pixel: np.ndarray
-    camera_id: int
-    weight: float
-    index: int               # position in the source correspondence list
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingFrame:
-    """Prepared matches plus per-camera reprojection contexts."""
+    """Correspondences lifted into one gravity-aligned solving frame, as arrays.
 
-    matches: list[BearingMatch]
+    Row k of every per-match array is correspondence k.  The rest is derived
+    once, on construction:
+
+    * ``basis[k]`` (2, 3): two orthonormal rows orthogonal to ``rays[k]``; the
+      match's ray constraint at yaw alpha reads ``basis[k] @ t = rhs`` (see
+      :meth:`rhs`), from the rows ``cos_rows``, ``sin_rows``, ``const_rows``
+      (n, 2), the parts of ``basis[k] (R(alpha) F_k - c_k)``;
+    * ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3): the match's
+      camera from the solving frame; ``intrinsics`` (n, 4): its fx, fy, cx,
+      cy.
+    """
+
+    rays: np.ndarray           # (n, 3) unit directions in the solving frame
+    centers: np.ndarray        # (n, 3) ray origins in the solving frame (0 for mono)
+    points: np.ndarray         # (n, 3) landmark positions in the map frame
+    pixels: np.ndarray         # (n, 2)
+    camera_ids: np.ndarray     # (n,) int
+    weights: np.ndarray        # (n,)
     cameras: dict[int, CameraModel]
     cam_from_solving: dict[int, RigidTransform]
+    basis: np.ndarray = field(init=False)
+    cos_rows: np.ndarray = field(init=False)
+    sin_rows: np.ndarray = field(init=False)
+    const_rows: np.ndarray = field(init=False)
+    cam_rotation: np.ndarray = field(init=False)
+    cam_translation: np.ndarray = field(init=False)
+    intrinsics: np.ndarray = field(init=False)
 
-    def arrays(self):
-        points = np.array([m.point for m in self.matches]).reshape(-1, 3)
-        pixels = np.array([m.pixel for m in self.matches]).reshape(-1, 2)
-        cam_ids = np.array([m.camera_id for m in self.matches], dtype=int)
-        weights = np.array([m.weight for m in self.matches])
-        return points, pixels, cam_ids, weights
+    def __post_init__(self):
+        rays, points, n = self.rays, self.points, len(self.points)
+        seeds = np.where(np.abs(rays[:, 2:3]) < 0.9,
+                         np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]))
+        b1 = np.cross(seeds, rays)
+        b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
+        bas = np.stack([b1, np.cross(rays, b1)], axis=1)          # (n, 2, 3)
+        zero = np.zeros(n)
+        planar = np.column_stack([points[:, 0], points[:, 1], zero])   # cos part of R F
+        turned = np.column_stack([-points[:, 1], points[:, 0], zero])  # sin part
+        fixed = np.column_stack([zero, zero, points[:, 2]]) - self.centers
+        ids = sorted(self.cameras)
+        if not np.isin(self.camera_ids, ids).all():
+            raise ValueError("matches from a camera outside the rig")
+        slot = np.searchsorted(ids, self.camera_ids)
+        cams = [self.cameras[c] for c in ids]
+        poses = [self.cam_from_solving[c] for c in ids]
+        derived = {
+            "basis": bas,
+            "cos_rows": np.einsum("nij,nj->ni", bas, planar),
+            "sin_rows": np.einsum("nij,nj->ni", bas, turned),
+            "const_rows": np.einsum("nij,nj->ni", bas, fixed),
+            "cam_rotation": np.array([p.rotation.as_matrix() for p in poses]
+                                     ).reshape(-1, 3, 3)[slot],
+            "cam_translation": np.array([p.translation for p in poses]).reshape(-1, 3)[slot],
+            "intrinsics": np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]
+                                   ).reshape(-1, 4)[slot],
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
+    def __len__(self) -> int:
+        return len(self.points)
 
-@dataclass(frozen=True)
-class SolverCandidate:
-    pose: YawPose
-    sample_indices: tuple[int, ...]
+    def rhs(self, idx, cos, sin) -> np.ndarray:
+        """Right-hand sides (len(idx), 2) of ``basis[idx] @ t = rhs`` at yaw (cos, sin)."""
+        return -(self.cos_rows[idx] * cos + self.sin_rows[idx] * sin + self.const_rows[idx])
 
 
 @dataclass
@@ -133,248 +169,87 @@ def align_correspondences(corrs: list[Correspondence], rig: list[CameraModel],
     level_from_ref = RigidTransform(tilt, np.zeros(3))  # leveled frame at ref center
 
     cam_from_solving: dict[int, RigidTransform] = {}
-    solving_from_cam: dict[int, RigidTransform] = {}
+    pixels = np.array([c.pixel for c in corrs], dtype=float).reshape(-1, 2)
+    points = np.array([c.point for c in corrs], dtype=float).reshape(-1, 3)
+    cam_ids = np.array([c.camera_id for c in corrs], dtype=int)
+    weights = np.array([c.weight for c in corrs], dtype=float)
+    rays = np.empty((len(corrs), 3))
+    centers = np.empty((len(corrs), 3))
     for cam in rig:
         ref_from_cam = ref.imu_from_camera.inverse() @ cam.imu_from_camera
         s_from_c = level_from_ref @ ref_from_cam
-        solving_from_cam[cam.camera_id] = s_from_c
         cam_from_solving[cam.camera_id] = s_from_c.inverse()
-
-    pixels = np.array([c.pixel for c in corrs], dtype=float).reshape(-1, 2)
-    cam_ids = np.array([c.camera_id for c in corrs], dtype=int)
-    rays = np.empty((len(corrs), 3))
-    for cam in rig:
         sel = np.flatnonzero(cam_ids == cam.camera_id)
         if len(sel) == 0:
             continue
-        v = cam.normalize(pixels[sel])
-        r = v @ solving_from_cam[cam.camera_id].rotation.as_matrix().T
+        r = cam.normalize(pixels[sel]) @ s_from_c.rotation.as_matrix().T
         rays[sel] = r / np.linalg.norm(r, axis=1, keepdims=True)
-    matches = [
-        BearingMatch(rays[i], solving_from_cam[c.camera_id].translation, c.point,
-                     pixels[i], c.camera_id, c.weight, i)
-        for i, c in enumerate(corrs)
-    ]
-    return MatchingFrame(matches, cams, cam_from_solving)
+        centers[sel] = s_from_c.translation
+    return MatchingFrame(rays, centers, points, pixels, cam_ids, weights, cams,
+                         cam_from_solving)
 
 
-def _ray_basis(ray: np.ndarray) -> np.ndarray:
-    """Two orthonormal rows spanning the plane orthogonal to ``ray``."""
-    seed = np.array([0.0, 0.0, 1.0]) if abs(ray[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    b1 = np.cross(seed, ray)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(ray, b1)
-    return np.vstack([b1, b2])
+def pair_tims(ray_i: np.ndarray, ray_j: np.ndarray, delta: np.ndarray,
+              center_delta: np.ndarray):
+    """TIMs ``d(alpha) = d1 sin + d2 cos + d3`` of match pairs, one row each.
 
-
-def _linear_rows(m: BearingMatch):
-    """Rows of b^T (cos*A + sin*B + C + t - c) = 0 for one correspondence."""
-    fx, fy, fz = m.point
-    a_vec = np.array([fx, fy, 0.0])    # cos(alpha) part of R(alpha) @ F
-    b_vec = np.array([-fy, fx, 0.0])   # sin(alpha) part
-    c_vec = np.array([0.0, 0.0, fz])
-    basis = _ray_basis(m.ray)
-    cos_coef = basis @ a_vec
-    sin_coef = basis @ b_vec
-    const = basis @ (c_vec - m.center)
-    return cos_coef, sin_coef, basis, const
-
-
-def tim_coefficients(m1: BearingMatch, m2: BearingMatch):
-    """Translation-invariant coefficients (d1, d2, d3) for a match pair.
-
-    ``d(alpha) = d1 sin + d2 cos + d3`` vanishes at any yaw consistent with
-    both correspondences, regardless of translation.
+    A pair has rays r_i, r_j, map-point difference delta = F_i - F_j and
+    ray-center difference c_i - c_j.  With the pair normal m = r_i x r_j,
+    ``d(alpha) = m . (R(alpha) delta - (c_i - c_j))`` vanishes at every yaw
+    consistent with both rays, whatever the translation.  TIMs are defined up
+    to scale; the sign is fixed so that the first nonzero of (d2, d1, d3) is
+    positive.  Returns m (pairs, 3) and d1, d2, d3 (pairs,).
     """
-    cos1, sin1, rows1, e1 = _linear_rows(m1)
-    cos2, sin2, rows2, e2 = _linear_rows(m2)
-    trans_mat = np.vstack([rows1, rows2])               # 4 x 3
-    cos_coef = np.concatenate([cos1, cos2])
-    sin_coef = np.concatenate([sin1, sin2])
-    const = np.concatenate([e1, e2])
-    # left null space of the translation block eliminates t
-    _, sing, vt = np.linalg.svd(trans_mat.T, full_matrices=True)
-    null = vt[-1]
-    rank_ok = sing[-1] > 1e-9 * max(sing[0], 1.0)
-    d1, d2, d3 = canonical_tim(float(null @ sin_coef), float(null @ cos_coef),
-                               float(null @ const))
-    scale = max(np.linalg.norm(cos_coef), np.linalg.norm(sin_coef),
-                np.linalg.norm(const), 1e-30)
-    return d1, d2, d3, (trans_mat, cos_coef, sin_coef, const, rank_ok, scale)
-
-
-def _solve_translation_for_yaw(system, alpha: float) -> np.ndarray:
-    trans_mat, cos_coef, sin_coef, const, _, _ = system
-    rhs = -(cos_coef * math.cos(alpha) + sin_coef * math.sin(alpha) + const)
-    t, *_ = np.linalg.lstsq(trans_mat, rhs, rcond=None)
-    return t
-
-
-def solve_2pt(m1: BearingMatch, m2: BearingMatch) -> list[SolverCandidate]:
-    """Closed-form 4DoF candidates from two gravity-aligned correspondences.
-
-    Returns up to two candidates (the two roots of the yaw equation), each
-    satisfying both projection-ray constraints exactly for exact inputs.
-    """
-    if np.linalg.norm(m1.point - m2.point) < 1e-9:
-        raise DegenerateSampleError("coincident map points")
-    d1, d2, d3, system = tim_coefficients(m1, m2)
-    if not system[4]:
-        raise DegenerateSampleError("rank-deficient translation system")
-    scale = system[5]
-    if math.hypot(d1, d2) <= 1e-10 * scale:
-        if abs(d3) <= 1e-10 * scale:
-            raise DegenerateSampleError("yaw-unobservable pair")
-        return []  # inconsistent: no yaw satisfies the pair
-    roots = _yaw_roots(d1, d2, d3)
-    if roots is None:
-        return []  # inconsistent: no yaw satisfies the pair
-    out = []
-    for alpha in roots:
-        t = _solve_translation_for_yaw(system, alpha)
-        out.append(SolverCandidate(YawPose(alpha, t), (m1.index, m2.index)))
-    return out
-
-
-def match_row_arrays(matches: list[BearingMatch]):
-    """Stacked per-match linear rows, shared by RANSAC and TIM construction.
-
-    For match ``i`` the two rows of ``basis @ (cos*A + sin*B + C + t - c) = 0``
-    are encoded as ``cos_c[i] (2,)``, ``sin_c[i] (2,)``, ``bas[i] (2,3)``,
-    ``con[i] (2,)``.  Vectorized equivalent of :func:`_linear_rows`.
-    """
-    rays = np.array([m.ray for m in matches]).reshape(-1, 3)
-    points = np.array([m.point for m in matches]).reshape(-1, 3)
-    centers = np.array([m.center for m in matches]).reshape(-1, 3)
-    n = len(rays)
-    seeds = np.where(np.abs(rays[:, 2:3]) < 0.9,
-                     np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]))
-    b1 = np.cross(seeds, rays)
-    b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
-    b2 = np.cross(rays, b1)
-    bas = np.stack([b1, b2], axis=1)                       # (n, 2, 3)
-    a_vec = np.column_stack([points[:, 0], points[:, 1], np.zeros(n)])
-    b_vec = np.column_stack([-points[:, 1], points[:, 0], np.zeros(n)])
-    c_vec = np.column_stack([np.zeros(n), np.zeros(n), points[:, 2]])
-    cos_c = np.einsum("nij,nj->ni", bas, a_vec)
-    sin_c = np.einsum("nij,nj->ni", bas, b_vec)
-    con = np.einsum("nij,nj->ni", bas, c_vec - centers)
-    return cos_c, sin_c, bas, con
-
-
-def _pair_null_vectors(m_rows: np.ndarray) -> np.ndarray:
-    """Left null vectors of stacked (pairs, 4, 3) translation blocks (Hodge dual)."""
-    c0, c1, c2 = m_rows[..., 0], m_rows[..., 1], m_rows[..., 2]
-
-    def det3(a, b, c):
-        return (c0[:, a] * (c1[:, b] * c2[:, c] - c1[:, c] * c2[:, b])
-                - c1[:, a] * (c0[:, b] * c2[:, c] - c0[:, c] * c2[:, b])
-                + c2[:, a] * (c0[:, b] * c1[:, c] - c0[:, c] * c1[:, b]))
-
-    return np.stack([det3(1, 2, 3), -det3(0, 2, 3),
-                     det3(0, 1, 3), -det3(0, 1, 2)], axis=1)
+    m = np.cross(ray_i, ray_j)
+    d1 = m[:, 1] * delta[:, 0] - m[:, 0] * delta[:, 1]
+    d2 = m[:, 0] * delta[:, 0] + m[:, 1] * delta[:, 1]
+    d3 = m[:, 2] * delta[:, 2] - np.einsum("kj,kj->k", m, center_delta)
+    lead = np.where(d2 != 0.0, d2, np.where(d1 != 0.0, d1, d3))
+    sign = np.where(lead < 0.0, -1.0, 1.0)
+    return m, d1 * sign, d2 * sign, d3 * sign
 
 
 def _wrap_angles(x: np.ndarray) -> np.ndarray:
-    """:func:`wrap_angle` on arrays with |x| < 3*pi (one exact 2*pi shift)."""
+    """``geometry.wrap_angle`` on arrays with |x| < 3*pi (one exact 2*pi shift)."""
     x = np.where(x > math.pi, x - 2.0 * math.pi,
                  np.where(x < -math.pi, x + 2.0 * math.pi, x))
     return np.where(x == -math.pi, math.pi, x)
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, rounded as ``u[k] @ v[k]`` is."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+def _solve_pairs(frame: MatchingFrame, i: np.ndarray, j: np.ndarray):
+    """Closed-form 2-point solve of the pairs ``(i[p], j[p])`` in one array pass.
 
-
-def _norms(u: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean norms, rounded as ``np.linalg.norm(u[k])`` is."""
-    return np.sqrt(_dots(u, u))
-
-
-def _libm(fn, *args) -> np.ndarray:
-    """``math`` function ``fn`` elementwise over 1-D arrays.
-
-    numpy's SIMD ``hypot``/``arctan2``/``arcsin`` can differ from libm in the
-    last ulp, which ill-conditioned pairs amplify into the translation; the
-    per-pair scalars go through libm so the roots round as in
-    :func:`_yaw_roots`.
+    The yaw roots come from each pair's TIM (:func:`pair_tims`) through
+    ``asin``; t then solves the pair's four stacked ray rows ``basis @ t =
+    rhs`` by batched 3x3 normal equations.  Pairs with parallel rays (a
+    rank-deficient translation block), without a horizontal baseline
+    (yaw-unobservable or inconsistent) or whose TIM has no root yield no
+    candidate.  Returns ``(pair, yaw, t)`` with one entry per candidate, in
+    (pair, root) order.
     """
-    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
-
-
-def _solve_pairs(rows, i: np.ndarray, j: np.ndarray):
-    """Closed-form solve of the pairs ``(i[p], j[p])`` in one array pass.
-
-    Same math as :func:`solve_2pt` (tested to agree) without per-pair SVD:
-    the left null vector of each 4x3 translation block comes from 3x3
-    minors, the yaw roots from ``asin``, and t from batched 3x3 normal
-    equations.  Rank-deficient, yaw-unobservable and inconsistent pairs
-    yield no candidate.  Returns ``(pair, yaw, t)`` with one entry per
-    candidate, in (pair, root) order.
-    """
-    cos_c, sin_c, bas, con = rows
-    m_rows = np.concatenate([bas[i], bas[j]], axis=1)             # (p, 4, 3)
-    cvec = np.concatenate([cos_c[i], cos_c[j]], axis=1)           # (p, 4)
-    svec = np.concatenate([sin_c[i], sin_c[j]], axis=1)
-    evec = np.concatenate([con[i], con[j]], axis=1)
-    null = _pair_null_vectors(m_rows)
-    nn = _norms(null)
-    scale = np.abs(m_rows).max(axis=(1, 2))
-    ok = nn >= 1e-12 * np.maximum(scale, 1.0) ** 3  # translation block full rank
-    null /= np.where(ok, nn, 1.0)[:, None]
-    d = np.stack([_dots(null, v) for v in (svec, cvec, evec)])
-    lead = np.where(d[1] != 0.0, d[1], np.where(d[0] != 0.0, d[0], d[2]))
-    d1, d2, d3 = np.where(lead < 0.0, -d, d)  # the sign rule of canonical_tim
-    coef_scale = np.maximum.reduce([_norms(cvec), _norms(svec), _norms(evec)]).clip(min=1e-30)
-    amp = _libm(math.hypot, d1, d2)
-    ok &= amp > 1e-10 * coef_scale  # else yaw-unobservable or inconsistent
+    delta = frame.points[i] - frame.points[j]
+    m, d1, d2, d3 = pair_tims(frame.rays[i], frame.rays[j], delta,
+                              frame.centers[i] - frame.centers[j])
+    sin_angle = np.linalg.norm(m, axis=1)
+    baseline = np.linalg.norm(delta, axis=1)
+    amp = np.hypot(d1, d2)
+    ok = (sin_angle > 1e-12) & (amp > 1e-10 * sin_angle * baseline)
     s_target = -d3 / np.where(ok, amp, 1.0)
     ok &= np.abs(s_target) <= 1.0 + 1e-9  # else no yaw satisfies the pair
-    phi = _libm(math.atan2, d2, d1)
-    base = _libm(math.asin, np.clip(s_target, -1.0, 1.0))
+    base = np.arcsin(np.clip(s_target, -1.0, 1.0))
+    phi = np.arctan2(d2, d1)
     roots = np.stack([_wrap_angles(base - phi),
                       _wrap_angles(math.pi - base - phi)], axis=1)  # (p, 2)
     distinct = np.abs(_wrap_angles(roots[:, 0] - roots[:, 1])) >= 1e-12
     pair, root = np.nonzero(np.stack([ok, ok & distinct], axis=1))  # (pair, root) order
     yaw = roots[pair, root]
-    m_t = np.swapaxes(m_rows[pair], 1, 2)                         # (c, 3, 4)
-    rhs = -(cvec[pair] * np.cos(yaw)[:, None] + svec[pair] * np.sin(yaw)[:, None]
-            + evec[pair])
-    t = np.linalg.solve(m_t @ m_rows[pair], (m_t @ rhs[:, :, None]))[:, :, 0]
+    a, b = i[pair], j[pair]
+    m_rows = np.concatenate([frame.basis[a], frame.basis[b]], axis=1)   # (c, 4, 3)
+    cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
+    rhs = np.concatenate([frame.rhs(a, cos, sin), frame.rhs(b, cos, sin)], axis=1)
+    m_t = np.swapaxes(m_rows, 1, 2)                                     # (c, 3, 4)
+    t = np.linalg.solve(m_t @ m_rows, (m_t @ rhs[:, :, None]))[:, :, 0]
     return pair, yaw, t
-
-
-def _solve_pair_fast(rows, i: int, j: int):
-    """One pair through :func:`_solve_pairs`: ``[(yaw, t), ...]`` or None."""
-    _, yaw, t = _solve_pairs(rows, np.array([i]), np.array([j]))
-    return [(float(a), tv) for a, tv in zip(yaw, t)] or None
-
-
-def canonical_tim(d1: float, d2: float, d3: float):
-    """Fix the overall sign of (d1, d2, d3); TIMs are defined up to scale."""
-    for lead in (d2, d1, d3):
-        if lead != 0.0:
-            if lead < 0.0:
-                return -d1, -d2, -d3
-            break
-    return d1, d2, d3
-
-
-def _yaw_roots(d1: float, d2: float, d3: float):
-    """Roots of d1 sin + d2 cos + d3 = 0 (caller checks degeneracy first)."""
-    amp = math.hypot(d1, d2)
-    s_target = -d3 / amp
-    if abs(s_target) > 1.0:
-        if abs(s_target) > 1.0 + 1e-9:
-            return None
-        s_target = math.copysign(1.0, s_target)
-    phi = math.atan2(d2, d1)
-    base = math.asin(s_target)
-    roots = [wrap_angle(base - phi), wrap_angle(math.pi - base - phi)]
-    if abs(wrap_angle(roots[0] - roots[1])) < 1e-12:
-        return roots[:1]
-    return roots
 
 
 class _Verifier:
@@ -388,15 +263,15 @@ class _Verifier:
     """
 
     def __init__(self, frame: MatchingFrame):
-        self.points, self.pixels, cam_ids, self.weights = frame.arrays()
-        fx, fy, fz = self.points.T
+        self.n, self.pixels = len(frame), frame.pixels
+        fx, fy, fz = frame.points.T
         zero = np.zeros_like(fx)
         planar = np.column_stack([fx, fy, zero])
         turned = np.column_stack([-fy, fx, zero])
         vertical = np.column_stack([zero, zero, fz])
         self.groups = []
         for cam_id in sorted(frame.cameras):
-            sel = np.flatnonzero(cam_ids == cam_id)
+            sel = np.flatnonzero(frame.camera_ids == cam_id)
             if len(sel) == 0:
                 continue
             cam = frame.cameras[cam_id]
@@ -411,7 +286,7 @@ class _Verifier:
     def batch_errors(self, yaws: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Reprojection errors, shape (candidates, matches)."""
         terms = np.column_stack([np.cos(yaws), np.sin(yaws), np.ones(len(yaws))])
-        err = np.full((len(yaws), len(self.points)), np.inf)
+        err = np.full((len(yaws), self.n), np.inf)
         for sel, cam, r_cs, abc in self.groups:
             p = (terms @ abc).reshape(len(yaws), 3, len(sel))
             p += (ts @ r_cs.T)[:, :, None]
@@ -433,15 +308,10 @@ class _Verifier:
 
 def refine_yaw_pose(frame: MatchingFrame, indices, yaw0: float, t0) -> YawPose:
     """Nonlinear least-squares polish of (yaw, t) over pixel residuals."""
-    sub = [frame.matches[i] for i in indices]
-    points = np.array([m.point for m in sub])
-    pixels = np.array([m.pixel for m in sub])
-    cams = [frame.cameras[m.camera_id] for m in sub]
-    cfs = [frame.cam_from_solving[m.camera_id] for m in sub]
-    rot_cs = np.array([c.rotation.as_matrix() for c in cfs])
-    t_cs = np.array([c.translation for c in cfs])
-    f = np.array([[c.fx, c.fy] for c in cams])
-    c0 = np.array([[c.cx, c.cy] for c in cams])
+    idx = np.asarray(indices, dtype=int)
+    points, pixels = frame.points[idx], frame.pixels[idx]
+    rot_cs, t_cs = frame.cam_rotation[idx], frame.cam_translation[idx]
+    f, c0 = frame.intrinsics[idx, :2], frame.intrinsics[idx, 2:]
 
     def residuals(x):
         yaw, t = x[0], x[1:]
@@ -469,23 +339,22 @@ def ransac_matching_frame(frame: MatchingFrame, cfg: RansacConfig) -> MatchResul
     then solved in one batch (:func:`_solve_pairs`) and every candidate is
     verified in one vectorized pass.
     """
-    n = len(frame.matches)
+    n = len(frame)
     if n < cfg.sample_size:
         raise MatchingFailureError(
             f"need at least {cfg.sample_size} correspondences, got {n}")
     verifier = _Verifier(frame)
-    rows = match_row_arrays(frame.matches)
     rng = np.random.default_rng(cfg.seed)
     probs = None
     if cfg.use_weights:
-        w = verifier.weights.clip(min=1e-9)
+        w = frame.weights.clip(min=1e-9)
         probs = w / w.sum()
 
     picks = np.array([rng.choice(n, size=cfg.sample_size, replace=False, p=probs)
                       for _ in range(cfg.iterations)])
-    gap = verifier.points[picks[:, 0]] - verifier.points[picks[:, 1]]
+    gap = frame.points[picks[:, 0]] - frame.points[picks[:, 1]]
     picks = picks[np.linalg.norm(gap, axis=1) >= 1e-9]  # drop coincident map points
-    pair, yaws, ts = _solve_pairs(rows, picks[:, 0], picks[:, 1])
+    pair, yaws, ts = _solve_pairs(frame, picks[:, 0], picks[:, 1])
 
     if len(yaws) == 0:
         raise MatchingFailureError("no candidate met the inlier floor")

@@ -24,7 +24,7 @@ from mapvins.initializer import (
 from mapvins.sim import make_matching_problem
 from mapvins.solvers import align_correspondences
 
-from test_solvers import bearing_match  # exact forward-projected matches
+from two_point_oracle import exact_frame, rig_event
 
 
 def aligned_problem(n, inlier_rate, sigma_px, seed, tilt=0.1):
@@ -92,13 +92,7 @@ class TestBuildTims:
         truth = YawPose(0.42, np.array([0.7, -0.4, 1.1]))
         rng = np.random.default_rng(1)
         pts = rng.uniform([-4, -4, 3], [4, 4, 9], size=(6, 3))
-        matches = [bearing_match(p, truth, i) for i, p in enumerate(pts)]
-        from mapvins.solvers import MatchingFrame
-        from mapvins.cameras import CameraModel
-        from mapvins.geometry import RigidTransform
-        cam = CameraModel(0, 460, 460, 320, 240, 640, 480)
-        frame = MatchingFrame(matches, {0: cam}, {0: RigidTransform.identity()})
-        tims = build_tims(frame, sigma_px=0.0)
+        tims = build_tims(exact_frame(pts, truth), sigma_px=0.0)
         assert len(tims) == len(pts) * (len(pts) - 1) // 2  # K(K-1)/2
         assert np.all(np.abs(tims.values(truth.yaw)) < 1e-10)
         assert np.all(tims.bound > 0)
@@ -120,12 +114,21 @@ class TestBuildTims:
             both = np.isin(tims.i, inl) & np.isin(tims.j, inl)
             assert np.all(np.abs(tims.values(truth.yaw))[both] <= tims.bound[both])
 
+    def test_rig_inlier_pairs_respect_bound_at_true_yaw(self):
+        # four-camera frames: a cross-camera pair's TIM needs its ray-center
+        # offset, without which 6 such pairs per event break their bound
+        for seed in (6, 8):
+            frame, true_cfm, inl = rig_event(seed, 1)
+            true_yaw, _ = g.decompose_yaw(true_cfm.rotation)
+            tims = build_tims(frame, sigma_px=1.0)
+            both = np.isin(tims.i, inl) & np.isin(tims.j, inl)
+            cross = frame.camera_ids[tims.i] != frame.camera_ids[tims.j]
+            assert np.count_nonzero(both & cross) > 0
+            assert np.all(np.abs(tims.values(true_yaw))[both] <= tims.bound[both])
+
     def test_single_match_rejected(self):
-        frame, *_ = aligned_problem(4, 1.0, 0.0, seed=3)
-        from mapvins.solvers import MatchingFrame
-        tiny = MatchingFrame(frame.matches[:1], frame.cameras, frame.cam_from_solving)
         with pytest.raises(InitializationError):
-            build_tims(tiny)
+            build_tims(exact_frame([[1.0, 0.0, 5.0]]))
 
 
 class TestVoteYaw:
@@ -135,13 +138,7 @@ class TestVoteYaw:
         truth = YawPose(0.7, np.array([0.5, 0.2, 0.8]))
         rng = np.random.default_rng(4)
         pts = rng.uniform([-4, -4, 3], [4, 4, 9], size=(10, 3))
-        matches = [bearing_match(p, truth, i) for i, p in enumerate(pts)]
-        from mapvins.solvers import MatchingFrame
-        from mapvins.cameras import CameraModel
-        from mapvins.geometry import RigidTransform
-        cam = CameraModel(0, 460, 460, 320, 240, 640, 480)
-        frame = MatchingFrame(matches, {0: cam}, {0: RigidTransform.identity()})
-        tims = build_tims(frame, sigma_px=0.0)
+        tims = build_tims(exact_frame(pts, truth), sigma_px=0.0)
         alpha, count = vote_yaw(tims, step)
         assert abs(wrap_angle(alpha - 0.7)) <= step
         assert count == len(tims)
@@ -308,12 +305,7 @@ class TestSolveTranslation:
     def test_three_exact_inliers(self):
         truth = YawPose(-0.3, np.array([1.5, -0.8, 0.4]))
         pts = np.array([[2.0, 1.0, 6.0], [-1.5, 0.5, 4.0], [0.5, -2.0, 8.0]])
-        matches = [bearing_match(p, truth, i) for i, p in enumerate(pts)]
-        from mapvins.solvers import MatchingFrame
-        from mapvins.cameras import CameraModel
-        from mapvins.geometry import RigidTransform
-        cam = CameraModel(0, 460, 460, 320, 240, 640, 480)
-        frame = MatchingFrame(matches, {0: cam}, {0: RigidTransform.identity()})
+        frame = exact_frame(pts, truth)
         t_hat, clique = solve_translation(frame, [0, 1, 2], truth.yaw, 1e-6)
         assert sorted(clique) == [0, 1, 2]
         assert np.linalg.norm(t_hat - truth.translation) < 1e-8
@@ -338,21 +330,14 @@ class TestSolveTranslation:
 
     def test_all_mutually_incompatible(self):
         # wildly inconsistent correspondences: every pair infeasible
-        from mapvins.solvers import MatchingFrame
-        from mapvins.cameras import CameraModel
-        from mapvins.geometry import RigidTransform
-        cam = CameraModel(0, 460, 460, 320, 240, 640, 480)
         rng = np.random.default_rng(5)
-        matches = []
-        for i in range(4):
+        rays, points = [], []
+        for _ in range(4):
             ray = rng.normal(size=3)
             ray[2] = abs(ray[2]) + 0.5
-            ray /= np.linalg.norm(ray)
-            from mapvins.solvers import BearingMatch
-            matches.append(BearingMatch(ray, np.zeros(3),
-                                        rng.uniform([-20, -20, 2], [20, 20, 30]),
-                                        np.zeros(2), 0, 1.0, i))
-        frame = MatchingFrame(matches, {0: cam}, {0: RigidTransform.identity()})
+            rays.append(ray / np.linalg.norm(ray))
+            points.append(rng.uniform([-20, -20, 2], [20, 20, 30]))
+        frame = exact_frame(points, rays=rays)
         _, clique = solve_translation(frame, [0, 1, 2, 3], 0.0, 1e-9)
         assert len(clique) == 1
 
@@ -428,8 +413,5 @@ class TestInitialize:
             assert true_inliers <= set(res.translation_inliers)
 
     def test_too_few_correspondences(self):
-        frame, *_ = aligned_problem(5, 1.0, 0.0, seed=10)
-        from mapvins.solvers import MatchingFrame
-        tiny = MatchingFrame(frame.matches[:1], frame.cameras, frame.cam_from_solving)
         with pytest.raises(InitializationError):
-            initialize_frame(tiny)
+            initialize_frame(exact_frame([[1.0, 0.0, 5.0]]))

@@ -7,48 +7,65 @@ import mapvins.geometry as g
 from mapvins.geometry import RigidTransform, YawPose, wrap_angle
 from mapvins.sim import Scenario, ScenarioConfig, make_matching_problem
 from mapvins.solvers import (
-    BearingMatch,
-    DegenerateSampleError,
     MatchingFailureError,
     RansacConfig,
     align_correspondences,
-    match_row_arrays,
     ransac_matching_frame,
     ransac_pose,
     ransac_success_probability,
-    solve_2pt,
-    _solve_pair_fast,
     _solve_pairs,
     _Verifier,
 )
 
-
-def bearing_match(point, pose: YawPose, index=0, center=(0.0, 0.0, 0.0)):
-    """Exact forward projection: ray along R(yaw) @ F + t - center."""
-    point = np.asarray(point, dtype=float)
-    center = np.asarray(center, dtype=float)
-    x = pose.apply(point) - center
-    ray = x / np.linalg.norm(x)
-    return BearingMatch(ray, center, point, np.zeros(2), 0, 1.0, index)
+from two_point_oracle import DegenerateSampleError, exact_frame, rig_event, solve_2pt
 
 
-def candidate_errors(cand, matches):
+def kernel(frame, pairs):
+    """``_solve_pairs`` on the (i, j) pairs: per pair, its [(yaw, t), ...]."""
+    i, j = (np.array(col, dtype=int) for col in zip(*pairs))
+    pair, yaw, t = _solve_pairs(frame, i, j)
+    return [[(yaw[k], t[k]) for k in np.flatnonzero(pair == p)] for p in range(len(pairs))]
+
+
+def candidate_errors(yaw, t, frame):
+    """Largest sine between a match's ray and its point under (yaw, t)."""
+    pose = YawPose(yaw, t)
     worst = 0.0
-    for m in matches:
-        x = cand.pose.apply(m.point) - m.center
-        worst = max(worst, float(np.linalg.norm(np.cross(x / np.linalg.norm(x), m.ray))))
+    for point, center, ray in zip(frame.points, frame.centers, frame.rays):
+        x = pose.apply(point) - center
+        worst = max(worst, float(np.linalg.norm(np.cross(x / np.linalg.norm(x), ray))))
     return worst
+
+
+def assert_matches_oracle(frame, pairs, yaw, t, pair):
+    """Kernel candidates equal the SVD oracle's, pair by pair and root by root.
+
+    Returns the number of pairs the oracle finds infeasible or degenerate.
+    """
+    assert np.all(np.diff(pair) >= 0)  # (pair, root) order
+    empty = 0
+    for p, (a, b) in enumerate(pairs):
+        try:
+            readable = solve_2pt(frame, a, b)
+        except DegenerateSampleError:
+            readable = []
+        empty += not readable
+        sel = np.flatnonzero(pair == p)
+        assert len(readable) == len(sel)
+        for cand, k in zip(readable, sel):
+            assert abs(wrap_angle(cand.pose.yaw - yaw[k])) < 1e-9
+            assert np.abs(cand.pose.translation - t[k]).max() < 1e-7
+    return empty
 
 
 class TestSolveTwoPoint:
     def test_identity_pose_recovered(self):
-        truth = YawPose(0.0, np.zeros(3))
-        m1 = bearing_match([1.0, 0.0, 5.0], truth, 0)
-        m2 = bearing_match([0.0, 1.0, 4.0], truth, 1)
-        cands = solve_2pt(m1, m2)
-        best = min(cands, key=lambda c: abs(c.pose.yaw) + np.linalg.norm(c.pose.translation))
-        assert abs(best.pose.yaw) < 1e-10
-        assert np.linalg.norm(best.pose.translation) < 1e-10
+        frame = exact_frame([[1.0, 0.0, 5.0], [0.0, 1.0, 4.0]])
+        cands = kernel(frame, [(0, 1)])[0]
+        assert len(cands) == len(solve_2pt(frame, 0, 1))
+        yaw, t = min(cands, key=lambda c: abs(c[0]) + np.linalg.norm(c[1]))
+        assert abs(yaw) < 1e-10
+        assert np.linalg.norm(t) < 1e-10
 
     def test_thirty_degree_pose_recovered(self):
         # Oracle: forward projection of the map-observation model
@@ -58,120 +75,106 @@ class TestSolveTwoPoint:
             pts = rng.uniform([-4, -4, 3], [4, 4, 10], size=(2, 3))
             if np.linalg.norm(pts[0] - pts[1]) < 0.5:
                 continue
-            m1, m2 = (bearing_match(p, truth, i) for i, p in enumerate(pts))
-            cands = solve_2pt(m1, m2)
-            errs = [abs(wrap_angle(c.pose.yaw - truth.yaw))
-                    + np.linalg.norm(c.pose.translation - truth.translation)
-                    for c in cands]
+            cands = kernel(exact_frame(pts, truth), [(0, 1)])[0]
+            errs = [abs(wrap_angle(yaw - truth.yaw)) + np.linalg.norm(t - truth.translation)
+                    for yaw, t in cands]
             assert min(errs) < 1e-8
 
     def test_both_roots_satisfy_ray_constraints(self):
         rng = np.random.default_rng(3)
         truth = YawPose(-0.9, np.array([0.4, -1.0, 2.0]))
         for _ in range(50):
-            pts = rng.uniform([-4, -4, 2], [4, 4, 9], size=(2, 3))
-            m1, m2 = (bearing_match(p, truth, i) for i, p in enumerate(pts))
-            for cand in solve_2pt(m1, m2):
-                assert candidate_errors(cand, [m1, m2]) < 1e-9
+            frame = exact_frame(rng.uniform([-4, -4, 2], [4, 4, 9], size=(2, 3)), truth)
+            cands = kernel(frame, [(0, 1)])[0]
+            assert len(cands) == len(solve_2pt(frame, 0, 1))
+            for yaw, t in cands:
+                assert candidate_errors(yaw, t, frame) < 1e-9
 
     def test_identical_landmarks_degenerate(self):
         truth = YawPose(0.2, np.array([1.0, 0.0, 0.0]))
-        m1 = bearing_match([2.0, 1.0, 5.0], truth, 0)
-        m2 = BearingMatch(np.array([0.0, 0.0, 1.0]), np.zeros(3),
-                          np.array([2.0, 1.0, 5.0]), np.zeros(2), 0, 1.0, 1)
+        frame = exact_frame([[2.0, 1.0, 5.0]] * 2, truth,
+                            rays=[exact_frame([[2.0, 1.0, 5.0]], truth).rays[0],
+                                  [0.0, 0.0, 1.0]])
         with pytest.raises(DegenerateSampleError):
-            solve_2pt(m1, m2)
+            solve_2pt(frame, 0, 1)
+        assert kernel(frame, [(0, 1)]) == [[]]
 
     def test_vertical_offset_yaw_unobservable(self):
         # delta-F purely vertical and rays coplanar with it: every yaw fits
-        truth = YawPose(0.0, np.zeros(3))
-        m1 = bearing_match([1.0, 1.0, 2.0], truth, 0)
-        m2 = bearing_match([1.0, 1.0, 5.0], truth, 1)
+        frame = exact_frame([[1.0, 1.0, 2.0], [1.0, 1.0, 5.0]])
         with pytest.raises(DegenerateSampleError):
-            solve_2pt(m1, m2)
+            solve_2pt(frame, 0, 1)
+        assert kernel(frame, [(0, 1)]) == [[]]
 
     def test_vertical_offset_inconsistent_has_no_solution(self):
-        truth = YawPose(0.0, np.zeros(3))
-        m1 = bearing_match([1.0, 1.0, 2.0], truth, 0)
-        m2 = bearing_match([1.0, 1.0, 5.0], truth, 1)
-        skewed = BearingMatch(np.array([0.0, 1.0, 0.0]), m2.center, m2.point,
-                              m2.pixel, 0, 1.0, 1)
-        assert solve_2pt(m1, skewed) == []
+        points = [[1.0, 1.0, 2.0], [1.0, 1.0, 5.0]]
+        skewed = exact_frame(points, rays=[exact_frame(points).rays[0], [0.0, 1.0, 0.0]])
+        assert solve_2pt(skewed, 0, 1) == []
+        assert kernel(skewed, [(0, 1)]) == [[]]
 
     def test_fast_path_matches_readable_path(self):
+        # one pair per call
         corrs, camera, wfc, _ = make_matching_problem(60, 1.0, 1.0, seed=3, tilt=0.15)
         frame = align_correspondences(corrs, [camera], wfc.rotation)
-        rows = match_row_arrays(frame.matches)
         rng = np.random.default_rng(1)
         for _ in range(200):
             i, j = (int(x) for x in rng.choice(60, 2, replace=False))
-            readable = solve_2pt(frame.matches[i], frame.matches[j])
-            fast = _solve_pair_fast(rows, i, j) or []
-            assert len(readable) == len(fast)
-            for cand, (alpha, t) in zip(readable, fast):
-                assert abs(wrap_angle(cand.pose.yaw - alpha)) < 1e-9
-                assert np.abs(cand.pose.translation - t).max() < 1e-7
+            pair, yaw, t = _solve_pairs(frame, np.array([i]), np.array([j]))
+            assert_matches_oracle(frame, [(i, j)], yaw, t, pair)
 
     def test_batched_kernel_matches_readable_path(self):
-        # 200 pairs in one call, with one pair for each rejection mask: a
-        # rank-deficient translation block (two map points on one ray),
-        # coincident map points, a vertical offset every yaw fits, and a
-        # vertical offset no yaw fits.  Outliers add pairs with |s| > 1.
+        # 300 pairs in one call: 194 from a one-camera frame, 100 from a
+        # four-camera frame (nonzero ray centers, pairs across cameras), and
+        # pairs for each rejection mask: a rank-deficient translation block
+        # (two map points on one ray, exactly and to 1e-12 m), coincident
+        # map points, a vertical offset every yaw fits (exactly, and with a
+        # 1e-13 m horizontal offset), and a vertical offset no yaw fits.
+        # Outliers add pairs with |s| > 1.
         corrs, camera, wfc, _ = make_matching_problem(60, 0.5, 1.0, seed=3, tilt=0.15)
-        frame = align_correspondences(corrs, [camera], wfc.rotation)
-        ident = YawPose(0.0, np.zeros(3))
-        low = bearing_match([1.0, 1.0, 2.0], ident)
-        high = bearing_match([1.0, 1.0, 5.0], ident)
-        special = [
-            bearing_match([1.0, 2.0, 4.0], ident), bearing_match([3.0, 6.0, 12.0], ident),
-            bearing_match([2.0, 1.0, 5.0], YawPose(0.2, np.array([1.0, 0.0, 0.0]))),
-            BearingMatch(np.array([0.0, 0.0, 1.0]), np.zeros(3),
-                         np.array([2.0, 1.0, 5.0]), np.zeros(2), 0, 1.0, 0),
-            low, high,
-            low, BearingMatch(np.array([0.0, 1.0, 0.0]), high.center, high.point,
-                              high.pixel, 0, 1.0, 0),
-        ]
-        matches = frame.matches + special
-        special_pairs = [(60 + 2 * k, 61 + 2 * k) for k in range(4)]
+        mono = align_correspondences(corrs, [camera], wfc.rotation)
+        rig, *_ = rig_event(3, 0)
+        truth = YawPose(0.2, np.array([1.0, 0.0, 0.0]))
+        special_points = [[1.0, 2.0, 4.0], [3.0, 6.0, 12.0], [2.0, 1.0, 5.0],
+                          [2.0, 1.0, 5.0], [1.0, 1.0, 2.0], [1.0, 1.0, 5.0],
+                          [1.0, 1.0, 2.0], [1.0, 1.0, 5.0], [1.0, 2.0, 4.0],
+                          [3.0, 6.0, 12.0 + 1e-12], [1.0, 1.0, 2.0], [1.0 + 1e-13, 1.0, 5.0]]
+        special_rays = exact_frame(special_points).rays
+        special_rays[2] = exact_frame(special_points[2:3], truth).rays[0]
+        special_rays[3] = [0.0, 0.0, 1.0]
+        special_rays[7] = [0.0, 1.0, 0.0]
+        n_special = len(special_points)
+        frame = exact_frame(np.vstack([mono.points, rig.points, special_points]),
+                            centers=np.vstack([mono.centers, rig.centers,
+                                               np.zeros((n_special, 3))]),
+                            rays=np.vstack([mono.rays, rig.rays, special_rays]))
+        n_mono, n_rig = len(mono), len(rig)
+        base = n_mono + n_rig
+        special_pairs = [(base + k, base + k + 1) for k in range(0, n_special, 2)]
         rng = np.random.default_rng(1)
-        pairs = [tuple(int(x) for x in rng.choice(60, 2, replace=False))
+        pairs = [tuple(int(x) for x in rng.choice(n_mono, 2, replace=False))
                  for _ in range(200 - len(special_pairs))]
         for k, sp in enumerate(special_pairs):
             pairs.insert(40 * k + 7, sp)
+        rig_pairs = [tuple(n_mono + int(x) for x in rng.choice(n_rig, 2, replace=False))
+                     for _ in range(100)]
+        assert sum(rig.camera_ids[a - n_mono] != rig.camera_ids[b - n_mono]
+                   for a, b in rig_pairs) >= 20
+        assert np.abs(rig.centers).max() > 0.01
+        pairs += rig_pairs
         i, j = (np.array(col) for col in zip(*pairs))
-        pair, yaw, t = _solve_pairs(match_row_arrays(matches), i, j)
-        assert np.all(np.diff(pair) >= 0)  # (pair, root) order
-        infeasible = 0
-        for p, (a, b) in enumerate(pairs):
+        pair, yaw, t = _solve_pairs(frame, i, j)
+        for a, b in special_pairs:
             try:
-                readable = solve_2pt(matches[a], matches[b])
+                assert solve_2pt(frame, a, b) == []
             except DegenerateSampleError:
-                readable = []
-            if (a, b) in special_pairs:
-                assert readable == []
-            elif not readable:
-                infeasible += 1
-            sel = np.flatnonzero(pair == p)
-            assert len(readable) == len(sel)
-            for cand, k in zip(readable, sel):
-                assert abs(wrap_angle(cand.pose.yaw - yaw[k])) < 1e-9
-                assert np.abs(cand.pose.translation - t[k]).max() < 1e-7
-        assert infeasible > 0
+                pass
+        assert assert_matches_oracle(frame, pairs, yaw, t, pair) > len(special_pairs)
 
 
 class TestVerifier:
     def test_batch_errors_match_per_match_projection(self):
-        sc = Scenario(ScenarioConfig(duration=2.0, seed=3, num_cameras=4, num_maps=1,
-                                     correspondences_per_event=40, outlier_rate=0.3,
-                                     sigma_px=1.0))
-        ev = sc.map_events[0]
-        body = sc.frame_pose(ev.frame)
-        frame = align_correspondences(ev.correspondences, sc.rig, body.rotation)
-        assert len({m.camera_id for m in frame.matches}) > 1
-        world_from_cam = body @ sc.rig[0].imu_from_camera
-        _, tilt = g.decompose_yaw(world_from_cam.rotation)
-        level_from_world = RigidTransform(tilt, np.zeros(3)) @ world_from_cam.inverse()
-        true_cfm = level_from_world @ sc.map_from_world[ev.map_id].inverse().to_rigid()
+        frame, true_cfm, _ = rig_event(3, 0)
+        assert len(set(frame.camera_ids.tolist())) > 1
         true_yaw, _ = g.decompose_yaw(true_cfm.rotation)
         rng = np.random.default_rng(0)
         yaws = np.concatenate([[true_yaw, true_yaw + math.pi],  # 2nd: points behind
@@ -179,18 +182,18 @@ class TestVerifier:
         ts = np.vstack([true_cfm.translation, true_cfm.translation,
                         true_cfm.translation + rng.normal(0.0, 0.5, (6, 3))])
         errs = _Verifier(frame).batch_errors(yaws, ts)
-        assert errs.shape == (len(yaws), len(frame.matches))
+        assert errs.shape == (len(yaws), len(frame))
         for c, (yaw, t) in enumerate(zip(yaws, ts)):
             pose = YawPose(yaw, t)
-            for k, m in enumerate(frame.matches):
-                p_cam = frame.cam_from_solving[m.camera_id].apply(pose.apply(m.point))
+            for k, cam_id in enumerate(frame.camera_ids):
+                p_cam = frame.cam_from_solving[cam_id].apply(pose.apply(frame.points[k]))
                 if p_cam[2] <= 1e-3:
                     assert errs[c, k] == np.inf
                     continue
-                pix = frame.cameras[m.camera_id].project(p_cam)
-                expected = np.linalg.norm(pix - m.pixel)
+                pix = frame.cameras[cam_id].project(p_cam)
+                expected = np.linalg.norm(pix - frame.pixels[k])
                 assert errs[c, k] == pytest.approx(expected, rel=1e-9, abs=1e-9)
-        assert (errs[0] < 3.0).sum() > len(frame.matches) / 2  # truth fits
+        assert (errs[0] < 3.0).sum() > len(frame) / 2  # truth fits
         assert np.isinf(errs[1]).any()
 
 
@@ -215,12 +218,11 @@ class TestRansac:
                 res = ransac_pose(corrs, cfg, [camera], wfc.rotation)
                 frame = align_correspondences(corrs, [camera], wfc.rotation)
                 for idx in res.inlier_indices:
-                    m = frame.matches[idx]
-                    p_cam = (frame.cam_from_solving[m.camera_id]
-                             .apply(res.cam_from_map.apply(m.point)))
+                    p_cam = (frame.cam_from_solving[frame.camera_ids[idx]]
+                             .apply(res.cam_from_map.apply(frame.points[idx])))
                     assert p_cam[2] > 0
                     pix = camera.project(p_cam)
-                    assert np.linalg.norm(pix - m.pixel) <= cfg.threshold_px + 1e-9
+                    assert np.linalg.norm(pix - frame.pixels[idx]) <= cfg.threshold_px + 1e-9
 
     def test_extreme_outliers_monte_carlo(self):
         # 80% outliers, 200 matches, k=100, sigma=1px: >= 95/100 seeded trials
