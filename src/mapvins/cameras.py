@@ -7,6 +7,29 @@ import numpy as np
 from mapvins.geometry import RigidTransform
 
 
+def project_points(points_cam, fx, fy, cx, cy) -> np.ndarray:
+    """Pixels (..., 2) of camera-frame points (..., 3); no validity check.
+
+    The intrinsics are scalars or arrays broadcasting against the points,
+    so one call projects every observation of a multi-camera stack.
+    """
+    p = np.asarray(points_cam, dtype=float)
+    u = np.empty(p.shape[:-1] + (2,))
+    u[..., 0] = fx * p[..., 0] / p[..., 2] + cx
+    u[..., 1] = fy * p[..., 1] / p[..., 2] + cy
+    return u
+
+
+def normalize_pixels(pixels, fx, fy, cx, cy) -> np.ndarray:
+    """Normalized image coordinates (vx, vy, 1) of pixels (..., 2); see ``project_points``."""
+    u = np.asarray(pixels, dtype=float)
+    v = np.empty(u.shape[:-1] + (3,))
+    v[..., 0] = (u[..., 0] - cx) / fx
+    v[..., 1] = (u[..., 1] - cy) / fy
+    v[..., 2] = 1.0
+    return v
+
+
 class CameraModel:
     """Pinhole intrinsics plus the rig extrinsic (IMU-from-camera transform)."""
 
@@ -40,19 +63,11 @@ class CameraModel:
 
     def project(self, points_cam: np.ndarray) -> np.ndarray:
         """Pixel coordinates of camera-frame points (rows); no validity check."""
-        p = np.atleast_2d(np.asarray(points_cam, dtype=float))
-        z = p[:, 2]
-        u = np.column_stack([self.fx * p[:, 0] / z + self.cx,
-                             self.fy * p[:, 1] / z + self.cy])
-        return u if np.asarray(points_cam).ndim > 1 else u[0]
+        return project_points(points_cam, self.fx, self.fy, self.cx, self.cy)
 
     def normalize(self, pixels: np.ndarray) -> np.ndarray:
         """Normalized image coordinates v = K^-1 [u, 1]^T, returned as (vx, vy, 1)."""
-        u = np.atleast_2d(np.asarray(pixels, dtype=float))
-        v = np.column_stack([(u[:, 0] - self.cx) / self.fx,
-                             (u[:, 1] - self.cy) / self.fy,
-                             np.ones(len(u))])
-        return v if np.asarray(pixels).ndim > 1 else v[0]
+        return normalize_pixels(pixels, self.fx, self.fy, self.cx, self.cy)
 
     def in_bounds(self, pixels: np.ndarray) -> np.ndarray:
         u = np.atleast_2d(np.asarray(pixels, dtype=float))

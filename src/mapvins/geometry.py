@@ -41,29 +41,59 @@ def wrap_angle(angle: float) -> float:
 
 
 def skew(v) -> np.ndarray:
-    """Cross-product matrix: skew(a) @ b == cross(a, b)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrix: skew(a) @ b == cross(a, b).
+
+    Stacked vectors of shape (..., 3) give stacked matrices (..., 3, 3).
+    """
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([np.stack([zero, -z, y], axis=-1),
+                     np.stack([z, zero, -x], axis=-1),
+                     np.stack([-y, x, zero], axis=-1)], axis=-2)
 
 
 def _quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """JPL quaternion product (xyzw): C(a*b) = C(a) C(b)."""
-    av, aw = a[:3], a[3]
-    bv, bw = b[:3], b[3]
-    vec = aw * bv + bw * av - np.cross(av, bv)
-    w = aw * bw - av @ bv
-    return np.array([vec[0], vec[1], vec[2], w])
+    # vec = aw * bv + bw * av - cross(av, bv), written out in scalars: the
+    # same IEEE operations in the same order as np.cross, without its
+    # per-call array overhead
+    ax, ay, az, aw = a.tolist()
+    bx, by, bz, bw = b.tolist()
+    w = aw * bw - a[:3] @ b[:3]
+    return np.array([aw * bx + bw * ax - (ay * bz - az * by),
+                     aw * by + bw * ay - (az * bx - ax * bz),
+                     aw * bz + bw * az - (ax * by - ay * bx), w])
 
 
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
     # Element-wise unit-norm form of (2w^2-1)I - 2w[v]x + 2vv^T; written this
-    # way a pure-yaw quaternion fixes the gravity axis exactly.
-    x, y, z, w = q
-    return np.array([
+    # way a pure-yaw quaternion fixes the gravity axis exactly.  A (4,)
+    # quaternion gives a (3, 3) matrix, an (n, 4) stack an (n, 3, 3) stack.
+    x, y, z, w = q.T
+    m = np.array([
         [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y + w * z), 2.0 * (x * z - w * y)],
         [2.0 * (x * y - w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z + w * x)],
         [2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y)],
     ])
+    return m if m.ndim == 2 else m.transpose(2, 0, 1)
+
+
+def _rotvec_to_quat(rotvec) -> np.ndarray:
+    """Exponential map of rotation vectors (..., 3) to JPL quaternions (..., 4).
+
+    First order below 1e-12 rad.  The angle is a dot product, the rounding
+    of ``np.linalg.norm`` on one vector, so a stack and its rows agree bit
+    for bit.
+    """
+    r = np.asarray(rotvec, dtype=float)
+    angle = np.sqrt(np.vecdot(r, r))
+    small = angle < 1e-12
+    safe = np.where(small, 1.0, angle)
+    vec = np.where(small[..., None], -0.5 * r,
+                   -np.sin(0.5 * safe)[..., None] * (r / safe[..., None]))
+    return np.concatenate([vec, np.where(small, 1.0, np.cos(0.5 * safe))[..., None]],
+                          axis=-1)
 
 
 def _matrix_to_quat(m: np.ndarray) -> np.ndarray:
@@ -130,14 +160,7 @@ class Rotation:
     @classmethod
     def from_rotvec(cls, rotvec) -> "Rotation":
         """Exponential map; ``rotvec = angle * axis`` (right-handed, active)."""
-        r = np.asarray(rotvec, dtype=float)
-        angle = np.linalg.norm(r)
-        if angle < 1e-12:
-            vec = -0.5 * r  # first-order JPL small-angle quaternion
-            return cls(np.array([vec[0], vec[1], vec[2], 1.0]))
-        axis = r / angle
-        vec = -math.sin(0.5 * angle) * axis
-        return cls(np.array([vec[0], vec[1], vec[2], math.cos(0.5 * angle)]))
+        return cls(_rotvec_to_quat(rotvec))
 
     @classmethod
     def from_yaw(cls, alpha: float) -> "Rotation":

@@ -130,23 +130,6 @@ class RunResult:
     failures: list[str]
     summary: dict
 
-    def local_trajectory(self) -> metrics.Trajectory:
-        samples = [(r["t"], RigidTransform(Rotation(np.array(r["q_local"])),
-                                           np.array(r["p_local"])))
-                   for r in self.records]
-        return metrics.Trajectory.from_samples(samples, "local")
-
-    def map_trajectory(self, map_id: int) -> metrics.Trajectory:
-        samples = []
-        for r in self.records:
-            entry = r["maps"].get(str(map_id))
-            if entry is not None:
-                samples.append((r["t"], RigidTransform(Rotation(np.array(entry["q"])),
-                                                       np.array(entry["p"]))))
-        if not samples:
-            raise metrics.MetricError(f"no logged poses for map {map_id}")
-        return metrics.Trajectory.from_samples(samples, f"map{map_id}")
-
 
 def _leveled_camera_in_local(state: FilterState, camera) -> RigidTransform:
     """The gravity-leveled reference-camera frame at the current estimate."""
@@ -283,7 +266,7 @@ def run_localization(scenario: Scenario, cfg: ExperimentConfig,
                                          reference_camera)
                 except MatchingFailureError as exc:
                     match_stats.append({"frame": frame, "map_id": ev.map_id,
-                                        "success": False})
+                                        "success": False, "reason": str(exc)})
                     continue
                 match_stats.append({"frame": frame, "map_id": ev.map_id,
                                     "success": True,

@@ -31,8 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2
 
-from mapvins.cameras import CameraModel
-from mapvins.geometry import GRAVITY, RigidTransform, Rotation, skew
+from mapvins.cameras import CameraModel, normalize_pixels, project_points
+from mapvins.geometry import (
+    GRAVITY,
+    RigidTransform,
+    Rotation,
+    _quat_product,
+    _quat_to_matrix,
+    _rotvec_to_quat,
+    skew,
+)
 from mapvins.mapmodel import MapBundle
 from mapvins.sim import ImuSample
 
@@ -124,6 +132,24 @@ def _small_rotation(dtheta: np.ndarray) -> Rotation:
     return Rotation(np.array([0.5 * dtheta[0], 0.5 * dtheta[1], 0.5 * dtheta[2], 1.0]))
 
 
+class _RigArrays:
+    """Per-camera constants, stacked once per filter state.
+
+    ``index`` maps a camera id to its row; ``r_ci``/``t_ci`` hold each
+    camera's cam_from_imu rotation and translation, ``intrinsics`` its
+    (fx, fy, cx, cy).  Keyframe rows are in normalized coordinates and get
+    their sigma from the first camera's mean focal length ``f_ref``.
+    """
+
+    def __init__(self, cams: list[CameraModel]):
+        self.index = {cam.camera_id: k for k, cam in enumerate(cams)}
+        cam_from_imu = [cam.imu_from_camera.inverse() for cam in cams]
+        self.r_ci = np.array([c.rotation.as_matrix() for c in cam_from_imu]).reshape(-1, 3, 3)
+        self.t_ci = np.array([c.translation for c in cam_from_imu]).reshape(-1, 3)
+        self.intrinsics = np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]).reshape(-1, 4)
+        self.f_ref = 0.5 * (cams[0].fx + cams[0].fy) if cams else 1.0
+
+
 class FilterState:
     """Mutable multi-map Schmidt-MSCKF state; single-owner semantics."""
 
@@ -131,6 +157,7 @@ class FilterState:
                  start_time: float = 0.0):
         self.config = config
         self.rig = {cam.camera_id: cam for cam in rig}
+        self._rig = _RigArrays(list(self.rig.values()))
         self.time = start_time
         self.q_IL = Rotation.identity()
         self.v = np.zeros(3)
@@ -208,74 +235,93 @@ class FilterState:
 # -- propagation ---------------------------------------------------------------
 
 
+def _transform(rot: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products: (..., 3, 3) @ (..., 3) -> (..., 3)."""
+    return (rot @ vec[..., None])[..., 0]
+
+
 def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
     """IMU mean and covariance propagation over a batch of samples.
 
     Mean: closed-form rotation with averaged rates, trapezoidal velocity and
     position.  Covariance: first-order Phi and additive noise, compounded
-    per sample and applied to P once per batch.  Map transforms and nuisance
+    over the batch and applied to P once.  Map transforms and nuisance
     keyframes are untouched by construction.
+
+    The biases are constant within a batch, so every sample's rotation
+    increment, specific force and Phi are computed as arrays; only the
+    attitude chain and the 15x15 Phi product run sample by sample.
     """
     if len(samples) < 2:
         return state
     cfg = state.config
+    t = np.array([s.t for s in samples])
+    dt = np.diff(t)
+    bad = np.flatnonzero(dt <= 0)
+    if t[0] < state.time - 1e-12:
+        bad = np.r_[0, bad]
+    if bad.size:
+        raise FilterError(f"non-monotone IMU timestamps near t={samples[bad[0]].t}")
+    n = len(dt)
+    gyro = np.array([s.gyro for s in samples])
+    accel = np.array([s.accel for s in samples]) - state.ba
+    omega = 0.5 * (gyro[:-1] + gyro[1:]) - state.bg
+    acc0, acc1 = accel[:-1], accel[1:]
+
+    inc = _rotvec_to_quat(-omega * dt[:, None])
+    quats = [state.q_IL.quaternion]
+    for q_inc in inc:
+        quats.append(_quat_product(q_inc, quats[-1]))
+    r_li = _quat_to_matrix(np.array(quats)).transpose(0, 2, 1)  # R_IL^T per sample
+    e_mat = _quat_to_matrix(inc)
+    # Simpson quadrature of the rotated specific force (midpoint rotation
+    # is exact for piecewise-constant rates); needed to hold the 1e-5 m
+    # round-trip budget at 200 Hz
+    half = _quat_to_matrix(_rotvec_to_quat(-omega * (0.5 * dt)[:, None]))
+    r_mid = r_li[:-1] @ half.transpose(0, 2, 1)
+    f_0 = _transform(r_li[:-1], acc0) + GRAVITY
+    f_mid = _transform(r_mid, 0.5 * (acc0 + acc1)) + GRAVITY
+    f_1 = _transform(r_li[1:], acc1) + GRAVITY
+    v = np.cumsum(np.vstack([state.v, dt[:, None] / 6.0 * (f_0 + 4.0 * f_mid + f_1)]),
+                  axis=0)
+    p = np.cumsum(np.vstack([state.p, v[:-1] * dt[:, None]
+                             + (dt * dt / 6.0)[:, None] * (f_0 + 2.0 * f_mid)]), axis=0)
+
+    d_t = dt[:, None, None]
+    force_skew = r_li[:-1] @ skew(acc0)
+    phi = np.tile(np.eye(IMU_DIM), (n, 1, 1))
+    phi[:, _TH, _TH] = e_mat
+    phi[:, _TH, _BG] = -d_t * e_mat
+    phi[:, _V, _TH] = -d_t * force_skew
+    phi[:, _V, _BA] = -d_t * r_li[:-1]
+    phi[:, _P, _V] = d_t * np.eye(3)
+    phi[:, _P, _TH] = -0.5 * d_t * d_t * force_skew
+    phi[:, _P, _BA] = -0.5 * d_t * d_t * r_li[:-1]
+    q_diag = np.zeros((n, IMU_DIM))
+    q_diag[:, _TH] = ((cfg.sigma_g * dt) ** 2)[:, None]
+    q_diag[:, _V] = ((cfg.sigma_a * dt) ** 2)[:, None]
+    q_diag[:, _BG] = cfg.sigma_wg ** 2
+    q_diag[:, _BA] = cfg.sigma_wa ** 2
+    # phi_acc = Phi_{n-1} ... Phi_0 and q_acc = sum_k S_k Q_k S_k^T with the
+    # suffix products S_k = Phi_{n-1} ... Phi_{k+1}: the sequential
+    # phi Q phi^T + Q_k recursion unrolled, one 15x15 product per sample
+    suffix = np.empty((n, IMU_DIM, IMU_DIM))
     phi_acc = np.eye(IMU_DIM)
-    q_acc = np.zeros((IMU_DIM, IMU_DIM))
-    t_prev = state.time
-    for s0, s1 in zip(samples[:-1], samples[1:]):
-        dt = s1.t - s0.t
-        if dt <= 0 or s0.t < t_prev - 1e-12:
-            raise FilterError(f"non-monotone IMU timestamps near t={s0.t}")
-        t_prev = s0.t
+    for k in range(n - 1, -1, -1):
+        suffix[k] = phi_acc
+        phi_acc = phi_acc @ phi[k]
+    q_acc = ((suffix * q_diag[:, None, :]) @ suffix.transpose(0, 2, 1)).sum(axis=0)
 
-        r_il = state.q_IL.as_matrix()
-        omega = 0.5 * (s0.gyro + s1.gyro) - state.bg
-        acc0 = s0.accel - state.ba
-        acc1 = s1.accel - state.ba
-
-        rot_inc = Rotation.from_rotvec(-omega * dt)
-        q_next = rot_inc @ state.q_IL
-        r_il_next = q_next.as_matrix()
-        q_mid = Rotation.from_rotvec(-omega * (0.5 * dt)) @ state.q_IL
-        # Simpson quadrature of the rotated specific force (midpoint rotation
-        # is exact for piecewise-constant rates); needed to hold the 1e-5 m
-        # round-trip budget at 200 Hz
-        f_0 = r_il.T @ acc0 + GRAVITY
-        f_mid = q_mid.as_matrix().T @ (0.5 * (acc0 + acc1)) + GRAVITY
-        f_1 = r_il_next.T @ acc1 + GRAVITY
-        v_next = state.v + dt / 6.0 * (f_0 + 4.0 * f_mid + f_1)
-        p_next = state.p + state.v * dt + dt * dt / 6.0 * (f_0 + 2.0 * f_mid)
-
-        e_mat = rot_inc.as_matrix()
-        phi = np.eye(IMU_DIM)
-        phi[_TH, _TH] = e_mat
-        phi[_TH, _BG] = -dt * e_mat
-        phi[_V, _TH] = -dt * r_il.T @ skew(acc0)
-        phi[_V, _BA] = -dt * r_il.T
-        phi[_P, _V] = dt * np.eye(3)
-        phi[_P, _TH] = -0.5 * dt * dt * r_il.T @ skew(acc0)
-        phi[_P, _BA] = -0.5 * dt * dt * r_il.T
-
-        q_step = np.zeros((IMU_DIM, IMU_DIM))
-        q_step[_TH, _TH] = (cfg.sigma_g * dt) ** 2 * np.eye(3)
-        q_step[_V, _V] = (cfg.sigma_a * dt) ** 2 * np.eye(3)
-        q_step[_BG, _BG] = cfg.sigma_wg ** 2 * np.eye(3)
-        q_step[_BA, _BA] = cfg.sigma_wa ** 2 * np.eye(3)
-
-        phi_acc = phi @ phi_acc
-        q_acc = phi @ q_acc @ phi.T + q_step
-
-        state.q_IL = q_next
-        state.v = v_next
-        state.p = p_next
-
-    n = state.dim
+    state.q_IL = Rotation(quats[-1])
+    state.v = v[-1].copy()
+    state.p = p[-1].copy()
+    d = state.dim
     state.P[:IMU_DIM, :IMU_DIM] = (phi_acc @ state.P[:IMU_DIM, :IMU_DIM] @ phi_acc.T
                                    + q_acc)
-    if n > IMU_DIM:
-        state.P[:IMU_DIM, IMU_DIM:n] = phi_acc @ state.P[:IMU_DIM, IMU_DIM:n]
-        state.P[IMU_DIM:n, :IMU_DIM] = state.P[:IMU_DIM, IMU_DIM:n].T
-    state.P[:n, :n] = 0.5 * (state.P[:n, :n] + state.P[:n, :n].T)
+    if d > IMU_DIM:
+        state.P[:IMU_DIM, IMU_DIM:d] = phi_acc @ state.P[:IMU_DIM, IMU_DIM:d]
+        state.P[IMU_DIM:d, :IMU_DIM] = state.P[:IMU_DIM, IMU_DIM:d].T
+    state.P[:d, :d] = 0.5 * (state.P[:d, :d] + state.P[:d, :d].T)
     state.time = samples[-1].t
     return state
 
@@ -328,101 +374,140 @@ def _apply_active_correction(state: FilterState, dx: np.ndarray) -> None:
                                  p + dx[base + 3:base + 6])
 
 
-def _schmidt_update(state: FilterState, h_active: np.ndarray,
-                    h_nuisance: np.ndarray, residual: np.ndarray,
-                    noise: np.ndarray) -> None:
-    """Schmidt-EKF step: gain on the active block only, nuisance frozen.
+def _schmidt_update(state: FilterState, h: np.ndarray, cols: np.ndarray,
+                    residual: np.ndarray) -> None:
+    """Schmidt-EKF step for whitened rows ``h`` on the state columns ``cols``.
 
-    ``noise`` is the (already projected) measurement covariance.  P_NN and
-    the nuisance means are left untouched; cross covariance P_AN updated.
+    The measurement noise is identity and H is zero outside ``cols``, so
+    only those columns of P are multiplied.  Gain on the active block only:
+    P_NN and the nuisance means are left untouched; the cross covariance
+    P_AN is updated.
     """
     a = state.active_dim
     n = state.dim
-    p_aa = state.P[:a, :a]
-    p_an = state.P[:a, a:n]
-    p_nn = state.P[a:n, a:n]
-    u = p_aa @ h_active.T
-    v = p_an @ h_nuisance.T if h_nuisance.size else np.zeros((a, 0))
-    if h_nuisance.size:
-        u = u + v
-        s_mat = (h_active @ p_aa @ h_active.T
-                 + h_active @ p_an @ h_nuisance.T
-                 + h_nuisance @ p_an.T @ h_active.T
-                 + h_nuisance @ p_nn @ h_nuisance.T + noise)
-    else:
-        s_mat = h_active @ u + noise
+    p_ht = state.P[:n, cols] @ h.T
+    s_mat = h @ p_ht[cols] + np.eye(len(residual))
     s_mat = 0.5 * (s_mat + s_mat.T)
+    u = p_ht[:a]
     try:
         k_gain = np.linalg.solve(s_mat, u.T).T
     except np.linalg.LinAlgError:
         k_gain = u @ np.linalg.pinv(s_mat)
-    dx = k_gain @ residual
-    _apply_active_correction(state, dx)
-    state.P[:a, :a] = p_aa - k_gain @ u.T
+    _apply_active_correction(state, k_gain @ residual)
+    state.P[:a, :a] = state.P[:a, :a] - k_gain @ u.T
     if n > a:
-        w = h_active @ p_an
-        if h_nuisance.size:
-            w = w + h_nuisance @ p_nn
-        state.P[:a, a:n] = p_an - k_gain @ w
+        state.P[:a, a:n] = state.P[:a, a:n] - k_gain @ p_ht[a:n].T
         state.P[a:n, :a] = state.P[:a, a:n].T
     state.P[:a, :a] = 0.5 * (state.P[:a, :a] + state.P[:a, :a].T)
 
 
-def _projection_jacobian(cam: CameraModel, p_c: np.ndarray) -> np.ndarray:
-    x, y, z = p_c
-    return np.array([[cam.fx / z, 0.0, -cam.fx * x / z ** 2],
-                     [0.0, cam.fy / z, -cam.fy * y / z ** 2]])
+def _pinhole_jacobian(p_c: np.ndarray, fx=1.0, fy=1.0) -> np.ndarray:
+    """d(pixel)/d(point) at stacked camera-frame points: (..., 3) -> (..., 2, 3).
+
+    fx = fy = 1 (the default) is the Jacobian of normalized image coordinates.
+    """
+    x, y, z = p_c[..., 0], p_c[..., 1], p_c[..., 2]
+    jac = np.zeros(p_c.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = fx / z
+    jac[..., 0, 2] = -fx * x / z ** 2
+    jac[..., 1, 1] = fy / z
+    jac[..., 1, 2] = -fy * y / z ** 2
+    return jac
 
 
-def _normalized_jacobian(p_c: np.ndarray) -> np.ndarray:
-    x, y, z = p_c
-    return np.array([[1.0 / z, 0.0, -x / z ** 2],
-                     [0.0, 1.0 / z, -y / z ** 2]])
+def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
+                        intrinsics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate T tracks of n observations each, all at once.
+
+    ``r_cw`` (T, n, 3, 3) and ``t_cw`` (T, n, 3) map world points into each
+    observing camera; ``pixels`` is (T, n, 2) and ``intrinsics`` (T, n, 4).
+    The linear estimate solves the 3x3 normal equations
+    sum (I - r r^T) x = sum (I - r r^T) c over the unit rays r from the
+    camera centres c; two Gauss-Newton steps on the pixel residuals follow.
+    Returns the points (T, 3) and the mask of tracks kept: a singular-value
+    ratio below 1e-6, or a depth below 1e-2 before a step, rejects a track.
+    """
+    fx, fy, cx, cy = np.moveaxis(intrinsics, -1, 0)
+    r_wc = np.swapaxes(r_cw, -1, -2)
+    rays = _transform(r_wc, normalize_pixels(pixels, fx, fy, cx, cy))
+    rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+    perp = np.eye(3) - rays[..., :, None] * rays[..., None, :]
+    normal = perp.sum(axis=1)
+    rhs = _transform(perp, -_transform(r_wc, t_cw)).sum(axis=1)
+    eig = np.linalg.eigvalsh(normal)
+    ok = eig[:, 0] >= 1e-12 * eig[:, 2]
+    normal[~ok] = np.eye(3)  # rejected tracks only keep the batch solvable
+    point = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):  # small GN polish on pixel residuals
+            p_c = _transform(r_cw, point[:, None, :]) + t_cw
+            ok &= (p_c[..., 2] >= 1e-2).all(axis=1)
+            jac = _pinhole_jacobian(p_c, fx, fy) @ r_cw
+            res = pixels - project_points(p_c, fx, fy, cx, cy)
+            jtj = np.einsum("tnki,tnkj->tij", jac, jac)
+            jtr = np.einsum("tnki,tnk->ti", jac, res)
+            jtj[~ok] = np.eye(3)
+            try:
+                step = np.linalg.solve(jtj, jtr[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                step = _transform(np.linalg.pinv(jtj), jtr)
+            point = point + step
+    return point, ok
 
 
 def triangulate(world_from_cams: list[RigidTransform], pixels: list[np.ndarray],
                 cams: list[CameraModel]):
-    """Linear DLT triangulation followed by two Gauss-Newton steps."""
-    rows = []
-    rhs = []
-    for wfc, pix, cam in zip(world_from_cams, pixels, cams):
-        ray = wfc.rotation.rotate(cam.normalize(pix))
-        ray = ray / np.linalg.norm(ray)
-        basis = np.array([[-ray[1], ray[0], 0.0] if abs(ray[2]) > 0.9
-                          else [0.0, -ray[2], ray[1]]])
-        b1 = np.cross(np.array([0.0, 0.0, 1.0]) if abs(ray[2]) < 0.9
-                      else np.array([1.0, 0.0, 0.0]), ray)
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(ray, b1)
-        for b in (b1, b2):
-            rows.append(b)
-            rhs.append(b @ wfc.translation)
-    a_mat = np.array(rows)
-    b_vec = np.array(rhs)
-    try:
-        point, res, rank, sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    if rank < 3 or sv[-1] < 1e-6 * sv[0]:
-        return None
-    for _ in range(2):  # small GN polish on pixel residuals
-        jac = []
-        res_v = []
-        for wfc, pix, cam in zip(world_from_cams, pixels, cams):
-            cfw = wfc.inverse()
-            p_c = cfw.apply(point)
-            if p_c[2] < 1e-2:
-                return None
-            jac.append(_projection_jacobian(cam, p_c) @ cfw.rotation.as_matrix())
-            res_v.append(pix - cam.project(p_c))
-        jac = np.vstack(jac)
-        res_v = np.concatenate(res_v)
-        try:
-            step, *_ = np.linalg.lstsq(jac, res_v, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        point = point + step
-    return point
+    """Triangulate one track (see ``_triangulate_tracks``); None when rejected."""
+    cams_from_world = [wfc.inverse() for wfc in world_from_cams]
+    point, ok = _triangulate_tracks(
+        np.array([c.rotation.as_matrix() for c in cams_from_world])[None],
+        np.array([c.translation for c in cams_from_world])[None],
+        np.asarray(pixels, dtype=float)[None],
+        np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams])[None])
+    return point[0] if ok[0] else None
+
+
+def _update_features(state: FilterState, groups: list, cols: np.ndarray,
+                     report: UpdateReport) -> None:
+    """Null-space projection, chi-square gate and one Schmidt update.
+
+    Each group stacks the whitened rows of features with equal row count m:
+    H (G, m, k) on the state columns ``cols``, the feature Jacobian
+    (G, m, 3) and the residual (G, m).  Each feature is removed by projection
+    onto the left null space of its Jacobian; every feature is gated from
+    one P H^T product; the accepted rows are applied in one Schmidt update.
+    """
+    k = len(cols)
+    projected = []
+    for h, h_f, resid in groups:
+        q_mat, _ = np.linalg.qr(h_f, mode="complete")
+        null_t = q_mat[:, :, 3:].transpose(0, 2, 1)
+        report.max_nullspace_residual = max(report.max_nullspace_residual,
+                                            float(np.abs(null_t @ h_f).max()))
+        projected.append((null_t @ h, _transform(null_t, resid)))
+    if not projected:
+        return
+    p_ht = state.P[np.ix_(cols, cols)] @ np.concatenate(
+        [h.reshape(-1, k) for h, _ in projected]).T
+    kept_h, kept_r = [], []
+    start = 0
+    for h, r in projected:
+        g, m, _ = h.shape
+        block = p_ht[:, start:start + g * m].reshape(k, g, m).transpose(1, 0, 2)
+        start += g * m
+        gamma = np.einsum("gi,gi->g", r, np.linalg.solve(h @ block + np.eye(m),
+                                                         r[..., None])[..., 0])
+        keep = gamma <= state._chi2_gate(m)
+        report.gated += int(np.count_nonzero(~keep))
+        report.used += int(np.count_nonzero(keep))
+        kept_h.append(h[keep].reshape(-1, k))
+        kept_r.append(r[keep].ravel())
+    h_all = np.concatenate(kept_h)
+    r_all = np.concatenate(kept_r)
+    report.rows = len(r_all)
+    if not report.rows:
+        return
+    _schmidt_update(state, h_all, cols, r_all)
 
 
 def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
@@ -430,79 +515,59 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
 
     Features are triangulated from the current clone estimates, their
     position dependency removed by left null-space projection (asserted
-    orthogonal), then a Schmidt-style update is applied with an empty
-    nuisance Jacobian, so map keyframes stay frozen here too.
+    orthogonal), then a Schmidt-style update is applied on the clone
+    columns only, so map keyframes stay frozen here too.  Tracks with the
+    same number of observations in the window are processed as one stack.
     """
     report = UpdateReport()
     cfg = state.config
-    stacked_h = []
-    stacked_r = []
-    sigma = cfg.local_sigma_px
-    a = state.active_dim
-
+    slots = {frame: k for k, frame in enumerate(state.clones)}
+    by_length: dict[int, list] = {}
     for track in tracks[: cfg.max_tracks_per_update]:
-        obs = [o for o in track.observations if o.frame in state.clones]
+        obs = [o for o in track.observations if o.frame in slots]
         if len(obs) < 2:
             report.skipped += 1
             continue
-        poses = [state.clone_pose(o.frame) @ state.rig[o.camera_id].imu_from_camera
-                 for o in obs]
-        point = triangulate(poses, [o.pixel for o in obs],
-                            [state.rig[o.camera_id] for o in obs])
-        if point is None:
-            report.skipped += 1
-            continue
-        rows_x = np.zeros((2 * len(obs), a))
-        rows_f = np.zeros((2 * len(obs), 3))
-        resid = np.zeros(2 * len(obs))
-        ok = True
-        for k, o in enumerate(obs):
-            cam = state.rig[o.camera_id]
-            q_clone, p_clone = state.clones[o.frame]
-            r_il = q_clone.as_matrix()
-            cam_from_imu = cam.imu_from_camera.inverse()
-            r_ci = cam_from_imu.rotation.as_matrix()
-            p_in_imu = r_il @ (point - p_clone)
-            p_c = r_ci @ p_in_imu + cam_from_imu.translation
-            if p_c[2] < 1e-2:
-                ok = False
-                break
-            pj = _projection_jacobian(cam, p_c)
-            base = state.clone_index(o.frame)
-            rows_x[2 * k:2 * k + 2, base:base + 3] = pj @ r_ci @ skew(p_in_imu)
-            rows_x[2 * k:2 * k + 2, base + 3:base + 6] = -pj @ r_ci @ r_il
-            rows_f[2 * k:2 * k + 2] = pj @ r_ci @ r_il
-            resid[2 * k:2 * k + 2] = o.pixel - cam.project(p_c)
-        if not ok:
-            report.skipped += 1
-            continue
-        # whiten (unit noise), then remove the landmark by left null-space
-        # projection of the feature Jacobian
-        rows_x = rows_x / sigma
-        rows_f = rows_f / sigma
-        resid = resid / sigma
-        u_mat, _, _ = np.linalg.svd(rows_f, full_matrices=True)
-        nullspace = u_mat[:, 3:]
-        report.max_nullspace_residual = max(
-            report.max_nullspace_residual,
-            float(np.abs(nullspace.T @ rows_f).max()))
-        h_proj = nullspace.T @ rows_x
-        r_proj = nullspace.T @ resid
-        s_mat = h_proj @ state.P[:a, :a] @ h_proj.T + np.eye(len(r_proj))
-        gamma = float(r_proj @ np.linalg.solve(s_mat, r_proj))
-        if gamma > state._chi2_gate(len(r_proj)):
-            report.gated += 1
-            continue
-        stacked_h.append(h_proj)
-        stacked_r.append(r_proj)
-        report.used += 1
+        by_length.setdefault(len(obs), []).append(obs)
 
-    if stacked_h:
-        h_all = np.vstack(stacked_h)
-        r_all = np.concatenate(stacked_r)
-        report.rows = len(r_all)
-        _schmidt_update(state, h_all, np.zeros((len(r_all), state.nuisance_dim)),
-                        r_all, np.eye(len(r_all)))
+    rig = state._rig
+    n_clones = len(state.clones)
+    clone_r = _quat_to_matrix(np.array([q.quaternion for q, _ in state.clones.values()])
+                              .reshape(-1, 4))
+    clone_p = np.array([p for _, p in state.clones.values()]).reshape(-1, 3)
+    sigma = cfg.local_sigma_px
+    groups = []
+    for n_obs, group in sorted(by_length.items()):
+        slot = np.array([[slots[o.frame] for o in obs] for obs in group])
+        cam = np.array([[rig.index[o.camera_id] for o in obs] for obs in group])
+        pixels = np.array([[o.pixel for o in obs] for obs in group], dtype=float)
+        r_il, p_clone = clone_r[slot], clone_p[slot]
+        r_ci, t_ci, intr = rig.r_ci[cam], rig.t_ci[cam], rig.intrinsics[cam]
+        r_cw = r_ci @ r_il
+        point, ok = _triangulate_tracks(r_cw, t_ci - _transform(r_cw, p_clone),
+                                        pixels, intr)
+        p_in_imu = _transform(r_il, point[:, None, :] - p_clone)
+        p_c = _transform(r_ci, p_in_imu) + t_ci
+        ok &= (p_c[..., 2] >= 1e-2).all(axis=1)
+        report.skipped += int(np.count_nonzero(~ok))
+        if not ok.any():
+            continue
+        slot, pixels, r_il, r_ci, intr = slot[ok], pixels[ok], r_il[ok], r_ci[ok], intr[ok]
+        p_in_imu, p_c = p_in_imu[ok], p_c[ok]
+        g = len(slot)
+        fx, fy, cx, cy = np.moveaxis(intr, -1, 0)
+        d_imu = _pinhole_jacobian(p_c, fx, fy) @ r_ci
+        h_f = d_imu @ r_il
+        h = np.zeros((g, n_obs, 2, n_clones, 6))
+        h[np.arange(g)[:, None], np.arange(n_obs), :, slot] = np.concatenate(
+            [d_imu @ skew(p_in_imu), -h_f], axis=-1)
+        resid = pixels - project_points(p_c, fx, fy, cx, cy)
+        # whiten (unit noise) before the null-space projection
+        h /= sigma
+        groups.append((h.reshape(g, 2 * n_obs, 6 * n_clones),
+                       h_f.reshape(g, 2 * n_obs, 3) / sigma,
+                       resid.reshape(g, 2 * n_obs) / sigma))
+    _update_features(state, groups, IMU_DIM + np.arange(6 * n_clones), report)
     state.last_report = report
     return state
 
@@ -557,137 +622,139 @@ def ensure_keyframe(state: FilterState, map_id: int, kf_id: int) -> bool:
     return True
 
 
-def _map_rows_for_landmark(state: FilterState, obs: MapObservation,
-                           items: list[MapMatchItem], point_map: np.ndarray,
-                           lifted: dict[tuple[int, int], bool]):
-    """Stacked rows (active, nuisance, feature, residual, noise) for one landmark."""
+def _keyframe_pose(state: FilterState, map_id: int, kf_id: int,
+                   lifted: dict[tuple[int, int], bool], slots: dict) -> tuple:
+    """(quaternion, position, nuisance slot or -1) of a map keyframe.
+
+    A lifted keyframe is read from the nuisance states and gets the next
+    free slot; any other keyframe is a constant from its bundle.
+    """
+    key = (map_id, kf_id)
+    if lifted.get(key, False):
+        q_kf, p_kf = state.keyframes[key]
+        return q_kf.quaternion, p_kf, slots.setdefault(key, len(slots))
+    pose = state.bundles[map_id].keyframes[kf_id].pose
+    return pose.rotation.quaternion, pose.translation, -1
+
+
+def _map_rows(state: FilterState, obs: MapObservation, landmarks: list,
+              lifted: dict[tuple[int, int], bool]) -> tuple:
+    """Rows of every measurement of ``landmarks`` as stacked 2-row blocks.
+
+    ``landmarks`` lists (landmark_id, items, map_position).  Each landmark
+    contributes, in this order, a block per current-camera item (pixels), per
+    intra-map keyframe anchor and per cross-map keyframe (normalized
+    coordinates); a block whose point lies less than 1e-2 in front of its
+    camera is dropped.  The state columns ``cols`` are the IMU attitude and
+    position, every map transform, then the lifted keyframes the blocks
+    use; every other column of H is zero.
+
+    Returns ``(owner, h, cols, h_f, resid, sigma)``: the index into
+    ``landmarks`` of each block (non-decreasing), its Jacobian on ``cols``
+    (nb, 2, len(cols)), its landmark Jacobian (nb, 2, 3), residual (nb, 2)
+    and pixel-equivalent sigma (nb,).
+    """
     cfg = state.config
-    a = state.active_dim
-    n_dim = state.nuisance_dim
-    map_id = obs.map_id
-    q_tau, p_tau = state.map_tau[map_id]
-    r_gl = q_tau.as_matrix()
+    rig = state._rig
+    map_ids = list(state.map_tau)
+    n_maps = len(map_ids)
+    tau_r = _quat_to_matrix(np.array([q.quaternion for q, _ in state.map_tau.values()]))
+    tau_p = np.array([p for _, p in state.map_tau.values()])
+    home = map_ids.index(obs.map_id)
+    r_gl, p_tau = tau_r[home], tau_p[home]
     r_il = state.q_IL.as_matrix()
-
-    rows_a, rows_n, rows_f, resid, sigmas = [], [], [], [], []
-    tau_base = state.tau_index(map_id)
-
-    # current-camera rows (pixels)
-    point_local = r_gl.T @ (point_map - p_tau)
-    for item in items:
-        cam = state.rig[item.camera_id]
-        cam_from_imu = cam.imu_from_camera.inverse()
-        r_ci = cam_from_imu.rotation.as_matrix()
-        p_in_imu = r_il @ (point_local - state.p)
-        p_c = r_ci @ p_in_imu + cam_from_imu.translation
-        if p_c[2] < 1e-2:
-            continue
-        pj = _projection_jacobian(cam, p_c)
-        d_imu = pj @ r_ci
-        row_a = np.zeros(a)
-        row_n = np.zeros(n_dim)
-        mat_th = d_imu @ skew(p_in_imu)
-        mat_p = -d_imu @ r_il
-        d_local = d_imu @ r_il  # sensitivity to the point in {L}
-        mat_tau_th = d_local @ (-r_gl.T @ skew(point_map - p_tau))
-        mat_tau_p = d_local @ (-r_gl.T)
-        d_f = d_local @ r_gl.T
-        row_block = np.zeros((2, a))
-        row_block[:, 0:3] = mat_th
-        row_block[:, 6:9] = mat_p
-        row_block[:, tau_base:tau_base + 3] = mat_tau_th
-        row_block[:, tau_base + 3:tau_base + 6] = mat_tau_p
-        rows_a.append(row_block)
-        rows_n.append(np.zeros((2, n_dim)))
-        rows_f.append(d_f)
-        resid.extend(item.pixel - cam.project(p_c))
-        sigmas.extend([cfg.map_sigma_px * cfg.map_inflation] * 2)
-
-    # intra-map keyframe anchor rows (normalized coordinates)
-    bundle = state.bundles[map_id]
-    lm_id = items[0].landmark_id
-    for kf_id in obs.anchors.get(lm_id, ())[: cfg.anchors_per_landmark]:
-        kf_data = bundle.keyframes[kf_id]
-        use_nuisance = lifted.get((map_id, kf_id), False)
-        if use_nuisance:
-            q_kf, p_kf = state.keyframes[(map_id, kf_id)]
-        else:
-            q_kf, p_kf = kf_data.pose.rotation, kf_data.pose.translation
-        r_gkf = q_kf.as_matrix()
-        stored = bundle.landmarks[lm_id].position
-        p_k = r_gkf.T @ (point_map - p_kf)
-        z_meas_p = r_gkf.T @ (stored - p_kf)
-        if p_k[2] < 1e-2 or z_meas_p[2] < 1e-2:
-            continue
-        nj = _normalized_jacobian(p_k)
-        row_block = np.zeros((2, a))
-        row_n = np.zeros((2, n_dim))
-        d_f = nj @ r_gkf.T
-        if use_nuisance:
-            base = state.kf_index(map_id, kf_id) - a
-            row_n[:, base:base + 3] = nj @ (-r_gkf.T @ skew(point_map - p_kf))
-            row_n[:, base + 3:base + 6] = nj @ (-r_gkf.T)
-        rows_a.append(row_block)
-        rows_n.append(row_n)
-        rows_f.append(d_f)
-        cam0 = next(iter(state.rig.values()))
-        f_ref = 0.5 * (cam0.fx + cam0.fy)
-        resid.extend(z_meas_p[:2] / z_meas_p[2] - p_k[:2] / p_k[2])
-        sigmas.extend([cfg.map_sigma_px * cfg.map_inflation / f_ref] * 2)
-
-    # cross-map keyframe rows (normalized coordinates)
+    bundle = state.bundles[obs.map_id]
+    cross_by_lm: dict[int, list] = {}
     for x_lm, other_map, other_lm in obs.cross:
-        if x_lm != lm_id or other_map not in state.map_tau:
-            continue
-        other_bundle = state.bundles[other_map]
-        other_rec = other_bundle.landmarks.get(other_lm)
-        if other_rec is None:
-            continue
-        q_tau_s, p_tau_s = state.map_tau[other_map]
-        r_sl = q_tau_s.as_matrix()
-        tau_s_base = state.tau_index(other_map)
-        for kf_id in other_rec.observing_keyframes[: cfg.cross_anchors_per_landmark]:
-            use_nuisance = lifted.get((other_map, kf_id), False)
-            if use_nuisance:
-                q_kf, p_kf = state.keyframes[(other_map, kf_id)]
-            else:
-                kf_pose = other_bundle.keyframes[kf_id].pose
-                q_kf, p_kf = kf_pose.rotation, kf_pose.translation
-            r_skf = q_kf.as_matrix()
-            v_s = r_sl @ point_local + p_tau_s
-            p_k = r_skf.T @ (v_s - p_kf)
-            z_meas_p = r_skf.T @ (other_rec.position - p_kf)
-            if p_k[2] < 1e-2 or z_meas_p[2] < 1e-2:
-                continue
-            nj = _normalized_jacobian(p_k)
-            d_vs = nj @ r_skf.T
-            row_block = np.zeros((2, a))
-            row_n = np.zeros((2, n_dim))
-            # through tau_s
-            row_block[:, tau_s_base:tau_s_base + 3] = d_vs @ skew(r_sl @ point_local)
-            row_block[:, tau_s_base + 3:tau_s_base + 6] = d_vs
-            # through tau_k via the local-frame point
-            d_local = d_vs @ r_sl
-            row_block[:, tau_base:tau_base + 3] = \
-                d_local @ (-r_gl.T @ skew(point_map - p_tau))
-            row_block[:, tau_base + 3:tau_base + 6] = d_local @ (-r_gl.T)
-            d_f = d_local @ r_gl.T
-            if use_nuisance:
-                base = state.kf_index(other_map, kf_id) - a
-                row_n[:, base:base + 3] = nj @ (-r_skf.T @ skew(v_s - p_kf))
-                row_n[:, base + 3:base + 6] = nj @ (-r_skf.T)
-            rows_a.append(row_block)
-            rows_n.append(row_n)
-            rows_f.append(d_f)
-            cam0 = next(iter(state.rig.values()))
-            f_ref = 0.5 * (cam0.fx + cam0.fy)
-            resid.extend(z_meas_p[:2] / z_meas_p[2] - p_k[:2] / p_k[2])
-            sigmas.extend([cfg.map_sigma_px * cfg.map_inflation / f_ref] * 2)
+        cross_by_lm.setdefault(x_lm, []).append((other_map, other_lm))
 
-    if not rows_a:
-        return None
-    return (np.vstack(rows_a), np.vstack(rows_n), np.vstack(rows_f),
-            np.array(resid), np.array(sigmas))
+    # one Python pass collects what each block reads; the maths is stacked
+    cam_blocks, kf_blocks = [], []
+    slots: dict[tuple[int, int], int] = {}
+    for i, (lm_id, items, _) in enumerate(landmarks):
+        for item in items:
+            cam_blocks.append((len(cam_blocks) + len(kf_blocks), i,
+                               rig.index[item.camera_id], item.pixel))
+        stored = bundle.landmarks[lm_id].position
+        for kf_id in obs.anchors.get(lm_id, ())[: cfg.anchors_per_landmark]:
+            kf_blocks.append((len(cam_blocks) + len(kf_blocks), i,
+                              *_keyframe_pose(state, obs.map_id, kf_id, lifted, slots),
+                              stored, -1))
+        for other_map, other_lm in cross_by_lm.get(lm_id, ()):
+            if other_map not in state.map_tau:
+                continue
+            other_rec = state.bundles[other_map].landmarks.get(other_lm)
+            if other_rec is None:
+                continue
+            for kf_id in other_rec.observing_keyframes[: cfg.cross_anchors_per_landmark]:
+                kf_blocks.append((len(cam_blocks) + len(kf_blocks), i,
+                                  *_keyframe_pose(state, other_map, kf_id, lifted, slots),
+                                  other_rec.position, map_ids.index(other_map)))
+
+    # column blocks of 6: IMU (attitude, position), each map, each lifted keyframe
+    n_blocks = len(cam_blocks) + len(kf_blocks)
+    h = np.zeros((n_blocks, 2, 1 + n_maps + len(slots), 6))
+    h_f = np.empty((n_blocks, 2, 3))
+    resid = np.empty((n_blocks, 2))
+    sigma = np.empty(n_blocks)
+    valid = np.empty(n_blocks, dtype=bool)
+    owner = np.empty(n_blocks, dtype=int)
+    point_map = np.array([pos for _, _, pos in landmarks]).reshape(-1, 3)
+    point_local = (point_map - p_tau) @ r_gl  # R_GL^T (p_G - p_GL), per row
+    local_th = -r_gl.T @ skew(point_map - p_tau)  # d point_local / d tau attitude
+    tau_col = 1 + home
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if cam_blocks:
+            pos, own, cam, pix = (np.array(c) for c in zip(*cam_blocks))
+            r_ci, intr = rig.r_ci[cam], rig.intrinsics[cam]
+            p_in_imu = (point_local[own] - state.p) @ r_il.T
+            p_c = _transform(r_ci, p_in_imu) + rig.t_ci[cam]
+            d_imu = _pinhole_jacobian(p_c, intr[:, 0], intr[:, 1]) @ r_ci
+            d_local = d_imu @ r_il  # sensitivity to the point in {L}
+            h[pos, :, 0, :3] = d_imu @ skew(p_in_imu)
+            h[pos, :, 0, 3:] = -d_local
+            h[pos, :, tau_col, :3] = d_local @ local_th[own]
+            h[pos, :, tau_col, 3:] = -d_local @ r_gl.T
+            h_f[pos] = d_local @ r_gl.T
+            resid[pos] = pix - project_points(p_c, *intr.T)
+            sigma[pos] = cfg.map_sigma_px * cfg.map_inflation
+            valid[pos] = p_c[:, 2] >= 1e-2
+            owner[pos] = own
+        if kf_blocks:
+            pos, own, q_kf, p_kf, slot, measured, other = (np.array(c)
+                                                           for c in zip(*kf_blocks))
+            r_kf_t = _quat_to_matrix(q_kf).transpose(0, 2, 1)
+            cross = other >= 0
+            # the landmark in the keyframe's map: stored position for an
+            # anchor, tau_s applied to the local-frame point for a cross row
+            source = np.where(cross, other, home)  # an anchor's is never used
+            r_sl = tau_r[source]
+            rotated = _transform(r_sl, point_local[own])
+            in_map = np.where(cross[:, None], rotated + tau_p[source], point_map[own])
+            p_k = _transform(r_kf_t, in_map - p_kf)
+            z_k = _transform(r_kf_t, measured - p_kf)
+            nj = _pinhole_jacobian(p_k)
+            d_map = nj @ r_kf_t
+            d_local = d_map @ r_sl
+            c_pos, c_own = pos[cross], own[cross]
+            h[c_pos, :, 1 + other[cross], :3] = d_map[cross] @ skew(rotated[cross])
+            h[c_pos, :, 1 + other[cross], 3:] = d_map[cross]
+            h[c_pos, :, tau_col, :3] = d_local[cross] @ local_th[c_own]
+            h[c_pos, :, tau_col, 3:] = -d_local[cross] @ r_gl.T
+            h_f[pos] = np.where(cross[:, None, None], d_local @ r_gl.T, d_map)
+            nuis = slot >= 0
+            h[pos[nuis], :, 1 + n_maps + slot[nuis], :3] = \
+                nj[nuis] @ (-r_kf_t[nuis] @ skew((in_map - p_kf)[nuis]))
+            h[pos[nuis], :, 1 + n_maps + slot[nuis], 3:] = -d_map[nuis]
+            resid[pos] = z_k[:, :2] / z_k[:, 2:] - p_k[:, :2] / p_k[:, 2:]
+            sigma[pos] = cfg.map_sigma_px * cfg.map_inflation / rig.f_ref
+            valid[pos] = (p_k[:, 2] >= 1e-2) & (z_k[:, 2] >= 1e-2)
+            owner[pos] = own
+    first_tau = IMU_DIM + 6 * len(state.clones)
+    cols = np.concatenate([[0, 1, 2, 6, 7, 8], first_tau + np.arange(6 * n_maps),
+                           *(state.kf_index(*key) + np.arange(6) for key in slots)])
+    h = h.reshape(n_blocks, 2, len(cols))
+    return owner[valid], h[valid], cols, h_f[valid], resid[valid], sigma[valid]
 
 
 def update_map(state: FilterState, obs: MapObservation) -> FilterState:
@@ -696,6 +763,7 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
     Landmark positions are never states: each landmark's rows are projected
     onto the left null space of its position Jacobian.  Nuisance keyframe
     means and their covariance block are bit-identical before and after.
+    Landmarks with the same number of row blocks are processed as one stack.
     """
     if obs.map_id not in state.map_tau:
         raise FilterError(f"map {obs.map_id} is not registered")
@@ -716,60 +784,37 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
         for kf_id in rec.observing_keyframes[: cfg.cross_anchors_per_landmark]:
             lifted[(other_map, kf_id)] = ensure_keyframe(state, other_map, kf_id)
 
-    a = state.active_dim
-    n_dim = state.nuisance_dim
     by_landmark: dict[int, list[MapMatchItem]] = {}
     for item in obs.matches:
         by_landmark.setdefault(item.landmark_id, []).append(item)
-
-    stacked_a, stacked_n, stacked_r, stacked_sig = [], [], [], []
+    bundle = state.bundles[obs.map_id]
+    landmarks = []
     for lm_id, items in sorted(by_landmark.items()):
-        bundle = state.bundles[obs.map_id]
         rec = bundle.landmarks.get(lm_id)
         if rec is None:
             report.skipped += 1
             continue
-        built = _map_rows_for_landmark(state, obs, items, rec.position, lifted)
-        if built is None:
-            report.skipped += 1
-            continue
-        rows_a, rows_n, rows_f, resid, sigmas = built
-        if len(resid) <= 3:
-            report.skipped += 1
-            continue
-        # whiten all rows to unit noise: the null-space split is only
-        # information-preserving on whitened Jacobians, and the projected
-        # measurement covariance becomes exactly identity
-        w = 1.0 / np.asarray(sigmas)
-        rows_a = rows_a * w[:, None]
-        rows_n = rows_n * w[:, None]
-        rows_f = rows_f * w[:, None]
-        resid = resid * w
-        u_mat, _, _ = np.linalg.svd(rows_f, full_matrices=True)
-        nullspace = u_mat[:, 3:]
-        report.max_nullspace_residual = max(
-            report.max_nullspace_residual, float(np.abs(nullspace.T @ rows_f).max()))
-        h_a = nullspace.T @ rows_a
-        h_n = nullspace.T @ rows_n
-        r_proj = nullspace.T @ resid
-        p_full = state.P[:state.dim, :state.dim]
-        h_full = np.hstack([h_a, h_n])
-        s_mat = h_full @ p_full @ h_full.T + np.eye(len(r_proj))
-        gamma = float(r_proj @ np.linalg.solve(s_mat, r_proj))
-        if gamma > state._chi2_gate(len(r_proj)):
-            report.gated += 1
-            continue
-        stacked_a.append(h_a)
-        stacked_n.append(h_n)
-        stacked_r.append(r_proj)
-        report.used += 1
+        landmarks.append((lm_id, items, rec.position))
 
-    if stacked_a:
-        h_a = np.vstack(stacked_a)
-        h_n = np.vstack(stacked_n)
-        r_all = np.concatenate(stacked_r)
-        report.rows = len(r_all)
-        _schmidt_update(state, h_a, h_n, r_all, np.eye(len(r_all)))
+    owner, h, cols, h_f, resid, sigma = _map_rows(state, obs, landmarks, lifted)
+    # whiten all rows to unit noise: the null-space split is only
+    # information-preserving on whitened Jacobians, and the projected
+    # measurement covariance becomes exactly identity
+    w = 1.0 / sigma
+    h *= w[:, None, None]
+    h_f *= w[:, None, None]
+    resid *= w[:, None]
+    counts = np.bincount(owner, minlength=len(landmarks))
+    # a single 2-row block leaves nothing after removing 3 landmark dofs
+    report.skipped += int(np.count_nonzero(counts < 2))
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for n_blk in np.unique(counts[counts >= 2]):
+        idx = starts[counts == n_blk][:, None] + np.arange(n_blk)
+        g, m = len(idx), 2 * int(n_blk)
+        groups.append((h[idx].reshape(g, m, len(cols)), h_f[idx].reshape(g, m, 3),
+                       resid[idx].reshape(g, m)))
+    _update_features(state, groups, cols, report)
     state.last_report = report
     return state
 

@@ -150,7 +150,6 @@ class TrajectoryTruth:
     def __init__(self, kind: str, times: np.ndarray, model: _Model):
         self.kind = kind
         self.times = times
-        self._model = model
         n = len(times)
         self.positions = np.zeros((n, 3))
         self.velocities = np.zeros((n, 3))
@@ -175,11 +174,6 @@ class TrajectoryTruth:
 
     def pose(self, i: int) -> RigidTransform:
         return RigidTransform(self.rotations[i], self.positions[i])
-
-    def state_at(self, t: float):
-        """Analytic (position, velocity, yaw) at an arbitrary time."""
-        p, v, _, yaw, _ = self._model.state(float(t))
-        return p, v, yaw
 
 
 def generate_trajectory(kind: str, duration: float, rate: float, **params) -> TrajectoryTruth:

@@ -10,6 +10,8 @@ from mapvins.geometry import (
     RigidTransform,
     Rotation,
     YawPose,
+    _quat_product,
+    _rotvec_to_quat,
     compose,
     decompose_yaw,
     transform_point,
@@ -63,6 +65,33 @@ class TestRotation:
         for _ in range(100):
             a, b = Rotation(rng.normal(size=4)), Rotation(rng.normal(size=4))
             assert np.abs((a @ b).as_matrix() - a.as_matrix() @ b.as_matrix()).max() < 1e-12
+
+    def test_product_bit_identical_to_cross_formula(self):
+        # the scalar product must round exactly like the vector formula
+        # aw * bv + bw * av - cross(av, bv), aw * bw - av . bv
+        rng = np.random.default_rng(11)
+        quats = rng.normal(size=(2000, 2, 4))
+        quats /= np.linalg.norm(quats, axis=2, keepdims=True)
+        for a, b in quats:
+            vec = a[3] * b[:3] + b[3] * a[:3] - np.cross(a[:3], b[:3])
+            expected = np.array([vec[0], vec[1], vec[2], a[3] * b[3] - a[:3] @ b[:3]])
+            assert np.array_equal(_quat_product(a, b), expected)
+
+    def test_stacked_exp_map_matches_each_row(self):
+        # the filter maps a whole IMU batch at once; every row must round
+        # exactly like Rotation.from_rotvec on that row and like the scalar
+        # formula -sin(angle / 2) * axis, cos(angle / 2), first-order branch
+        # below 1e-12 rad included
+        rng = np.random.default_rng(12)
+        rotvecs = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-14, 0.5, (2000, 1))
+        stacked = _rotvec_to_quat(rotvecs)
+        assert np.count_nonzero(np.linalg.norm(rotvecs, axis=1) < 1e-12) > 50
+        for rv, q in zip(rotvecs, stacked):
+            angle = np.linalg.norm(rv)
+            expected = (np.r_[-0.5 * rv, 1.0] if angle < 1e-12 else
+                        np.r_[-math.sin(0.5 * angle) * (rv / angle), math.cos(0.5 * angle)])
+            assert np.array_equal(q, expected)
+            assert np.array_equal(Rotation.from_rotvec(rv).quaternion, Rotation(q).quaternion)
 
     def test_rotvec_roundtrip(self):
         # canonical quaternions keep rotvecs inside the pi-ball

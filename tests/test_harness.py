@@ -146,6 +146,27 @@ class TestRunScenario:
             rates[w_bar] = ok / max(1, len(res.match_stats))
         assert rates[0.8] <= rates[0.6]
 
+    def test_rejected_event_records_reason(self):
+        # every correspondence of one tracking event (after registration)
+        # moved to a random pixel: RANSAC finds no consensus, and the event's
+        # single match_stats entry says why
+        cfg = quiet_config(duration=4.0)
+        scenario = Scenario(cfg.scenario)
+        events = [e for e in scenario.map_events if len(e.correspondences) >= 2]
+        target = events[1]
+        rng = np.random.default_rng(0)
+        outliers = [replace(c, pixel=rng.uniform([0.0, 0.0], [640.0, 480.0]),
+                            is_inlier=False) for c in target.correspondences]
+        scenario.map_events = [replace(e, correspondences=outliers) if e is target else e
+                               for e in scenario.map_events]
+        res = run_localization(scenario, cfg)
+        assert res.init_stats[0]["frame"] == events[0].frame
+        assert len(res.match_stats) == len(events) - 1  # one entry per tracking event
+        failed = [m for m in res.match_stats if not m["success"]]
+        assert [(m["frame"], m["map_id"]) for m in failed] == [(target.frame, target.map_id)]
+        assert failed[0]["reason"] == "no candidate met the inlier floor"
+        assert all("reason" not in m for m in res.match_stats if m["success"])
+
     def test_pose_log_written(self, tmp_path):
         cfg = quiet_config(duration=3.0)
         scenario = Scenario(cfg.scenario)

@@ -13,7 +13,7 @@ from mapvins.msckf import (
     MapMatchItem,
     MapObservation,
     TrackObservation,
-    _map_rows_for_landmark,
+    _map_rows,
     _small_rotation,
     clone_and_marginalize,
     current_pose_in_map,
@@ -352,9 +352,15 @@ class TestMapJacobians:
                              {lm: (anchor_kf,)},
                              cross=[(lm, 2, 0)])
         lifted = {(1, anchor_kf): True, (2, 0): True}
-        rows_a, rows_n, rows_f, resid, sigmas = _map_rows_for_landmark(
-            st, obs, obs.matches, record.position, lifted)
-        sigmas = np.asarray(sigmas)
+        owner, h, cols, h_f, resid, sigmas = _map_rows(
+            st, obs, [(lm, obs.matches, record.position)], lifted)
+        assert np.array_equal(owner, np.zeros(len(owner)))
+        # expand the stacked blocks to full-width rows of H
+        rows = np.zeros((2 * len(h), st.dim))
+        rows[:, cols] = h.reshape(-1, len(cols))
+        rows_a, rows_n = rows[:, :st.active_dim], rows[:, st.active_dim:]
+        rows_f = h_f.reshape(-1, 3)
+        resid = resid.ravel()
 
         def measure(state, point_map):
             out = []
