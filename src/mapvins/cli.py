@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands mirror the experiment stages: ``simulate`` builds and archives a
-scenario, ``init-bench`` and ``match-bench`` benchmark the deterministic
-initializer and the RANSAC matcher against their analytic properties,
-``localize`` runs the full causal pipeline, ``evaluate`` computes metrics
-from trajectory files, and ``compare`` runs paired-seed mode comparisons.
+scenario, ``localize`` runs the full causal pipeline, ``evaluate`` computes
+metrics from trajectory files, and ``compare`` runs paired-seed mode
+comparisons.  The initializer's and RANSAC's analytic properties are checked
+by the acceptance suite (``tests/test_acceptance.py``) and timed by
+``perfbench/``.
 
 Every command exits nonzero iff one of the properties it checks fails.
 """
@@ -12,16 +13,10 @@ Every command exits nonzero iff one of the properties it checks fails.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 import mapvins.metrics as metrics
-from mapvins.geometry import wrap_angle
 from mapvins.harness import (
     ExperimentConfig,
     compare_modes,
@@ -30,15 +25,7 @@ from mapvins.harness import (
     run_scenario,
     save_config,
 )
-from mapvins.initializer import InitConfig, initialize
-from mapvins.sim import Scenario, make_matching_problem
-from mapvins.solvers import (
-    MatchingFailureError,
-    RansacConfig,
-    align_correspondences,
-    ransac_matching_frame,
-    ransac_success_probability,
-)
+from mapvins.sim import Scenario
 
 
 def _load_or_default(path) -> ExperimentConfig:
@@ -57,73 +44,6 @@ def cmd_simulate(args) -> int:
           f"{len(scenario.maps)} maps, {len(scenario.map_events)} match events "
           f"-> {out}")
     return 0
-
-
-def cmd_init_bench(args) -> int:
-    """Determinism/accuracy benchmark of the 4DoF initializer."""
-    cases = [(26, 0.82), (68, 0.78), (15, 0.47), (49, 0.65), (82, 0.72), (138, 0.38)]
-    failures = 0
-    rows = []
-    for n, w in cases:
-        corrs, camera, wfc, truth = make_matching_problem(n, w, 1.0, seed=n, tilt=0.1)
-        poses = []
-        elapsed = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            res = initialize(corrs, InitConfig(sigma_px=1.0), [camera], wfc.rotation)
-            elapsed.append(time.perf_counter() - t0)
-            poses.append((res.refined_pose.yaw, tuple(res.refined_pose.translation)))
-        identical = len(set(poses)) == 1
-        yaw_err = abs(wrap_angle(poses[0][0] - truth.yaw))
-        t_err = float(np.linalg.norm(np.array(poses[0][1]) - truth.translation))
-        ok = (identical and yaw_err <= math.radians(0.5) and t_err <= 0.05
-              and max(elapsed) <= 2.0)
-        failures += not ok
-        rows.append((n, w, identical, math.degrees(yaw_err), t_err,
-                     max(elapsed), ok))
-        print(f"N={n:3d} w={w:.2f}  identical={identical}  "
-              f"yaw_err={math.degrees(yaw_err):.4f}deg  t_err={t_err:.4f}m  "
-              f"max_time={max(elapsed):.3f}s  [{'ok' if ok else 'FAIL'}]")
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        doc = [{"n": n, "w": w, "identical": i, "yaw_err_deg": y, "t_err_m": t,
-                "ok": ok} for n, w, i, y, t, _, ok in rows]
-        (Path(args.out) / "init_bench.json").write_text(json.dumps(doc, indent=2))
-    return 1 if failures else 0
-
-
-def cmd_match_bench(args) -> int:
-    """Empirical RANSAC success against the closed-form probability."""
-    failures = 0
-    for w in (0.2, 0.5):
-        corrs, camera, wfc, truth = make_matching_problem(400, w, 0.0, seed=77)
-        frame = align_correspondences(corrs, [camera], wfc.rotation)
-        for k in (10, 50):
-            wins = 0
-            for s in range(args.trials):
-                try:
-                    res = ransac_matching_frame(
-                        frame, RansacConfig(iterations=k, threshold_px=1e-5,
-                                            min_inliers=2, seed=s))
-                    ok = (abs(wrap_angle(res.cam_from_map.yaw - truth.yaw)) < 1e-6
-                          and np.linalg.norm(res.cam_from_map.translation
-                                             - truth.translation) < 1e-5)
-                    wins += ok
-                except MatchingFailureError:
-                    pass
-            emp = wins / args.trials
-            pred = ransac_success_probability(w, 2, k)
-            ok = abs(emp - pred) <= 0.03
-            failures += not ok
-            print(f"w={w} n=2 k={k}: empirical={emp:.4f} predicted={pred:.4f} "
-                  f"[{'ok' if ok else 'FAIL'}]")
-    p2 = ransac_success_probability(0.2, 2, 100)
-    p3 = ransac_success_probability(0.2, 3, 100)
-    ok = p2 - p3 >= 0.15
-    failures += not ok
-    print(f"2-point vs 3-point at w=0.2, k=100: {p2:.3f} vs {p3:.3f} "
-          f"[{'ok' if ok else 'FAIL'}]")
-    return 1 if failures else 0
 
 
 def cmd_localize(args) -> int:
@@ -181,15 +101,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("init-bench", help="deterministic initializer benchmark")
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--out", help="optional output directory")
-    p.set_defaults(func=cmd_init_bench)
-
-    p = sub.add_parser("match-bench", help="RANSAC success-probability benchmark")
-    p.add_argument("--trials", type=int, default=300)
-    p.set_defaults(func=cmd_match_bench)
 
     p = sub.add_parser("localize", help="run the causal localization pipeline")
     p.add_argument("--config", help="experiment YAML")

@@ -419,9 +419,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None) -> dict:
         runs_dir = out / "runs"
         runs_dir.mkdir(exist_ok=True)
         for seed, (scenario, result) in all_results.items():
-            with open(runs_dir / f"seed{seed}.jsonl", "w") as fh:
-                for rec in result.records:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            write_pose_log(result, runs_dir / f"seed{seed}.jsonl")
     report["_results"] = all_results
     return report
 

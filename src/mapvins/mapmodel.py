@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from mapvins.cameras import CameraModel
 from mapvins.geometry import RigidTransform, Rotation
 
 FORMAT_NAME = "mapvins-map"
@@ -219,27 +218,3 @@ def load_map(path) -> MapBundle:
         fail(1, f"header declares {n_lm} landmarks, file has {len(landmarks)}")
     return MapBundle(map_id, keyframes, landmarks)
 
-
-def landmarks_visible_from(bundle: MapBundle, pose: RigidTransform,
-                           camera: CameraModel, min_depth: float = 1e-6):
-    """Landmarks that project into ``camera`` placed at map-frame ``pose``.
-
-    Returns ``[(landmark_id, bearing)]`` sorted by id, where ``bearing`` is
-    the normalized image coordinate (vx, vy); points at or behind the camera
-    plane and points outside the image bounds are excluded.
-    """
-    ids = sorted(bundle.landmarks)
-    if not ids:
-        return []
-    positions = bundle.landmark_positions(ids)
-    cam_from_map = pose.inverse()
-    pts_cam = positions @ cam_from_map.rotation.as_matrix().T + cam_from_map.translation
-    out = []
-    for lm_id, p in zip(ids, pts_cam):
-        if p[2] <= min_depth:
-            continue
-        pixel = camera.project(p)
-        if not camera.in_bounds(pixel):
-            continue
-        out.append((lm_id, np.array([p[0] / p[2], p[1] / p[2]])))
-    return out

@@ -223,10 +223,6 @@ class FilterState:
     def world_from_imu(self) -> RigidTransform:
         return RigidTransform(self.q_IL.inverse(), self.p)
 
-    def clone_pose(self, frame: int) -> RigidTransform:
-        q, p = self.clones[frame]
-        return RigidTransform(q.inverse(), p)
-
     def map_from_local(self, map_id: int) -> RigidTransform:
         q, p = self.map_tau[map_id]
         return RigidTransform(q, p)

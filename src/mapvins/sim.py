@@ -25,6 +25,7 @@ from mapvins.geometry import (
     RigidTransform,
     Rotation,
     YawPose,
+    decompose_yaw,
     wrap_angle,
     yaw_rotation,
 )
@@ -217,6 +218,52 @@ def _truncated_pixel_noise(rng, sigma: float, bound_sigmas: float = 3.0) -> np.n
             return n
 
 
+def _project_visible(points: np.ndarray, cam_from_world: RigidTransform,
+                     camera: CameraModel, min_depth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels of world points (rows) in ``camera``, and which of them it sees.
+
+    Pixels are NaN for points at or closer than ``min_depth``; ``visible``
+    marks the points beyond it whose pixel lies on the sensor.
+    """
+    pts = points @ cam_from_world.rotation.as_matrix().T + cam_from_world.translation
+    in_front = pts[:, 2] > min_depth
+    pixels = np.full((len(pts), 2), np.nan)
+    pixels[in_front] = camera.project(pts[in_front])
+    return pixels, in_front & camera.in_bounds(pixels)
+
+
+def _seed_points(rng, camera: CameraModel, world_from_camera: RigidTransform, count: int,
+                 margin: float, depth: tuple[float, float]) -> np.ndarray:
+    """``count`` world points, each behind a uniform pixel at a uniform depth.
+
+    Each point draws its pixel (``margin`` px inside the border) and then
+    its depth.  The camera-to-world transform is a stack of matrix-vector
+    products, which round exactly as ``RigidTransform.apply`` on one point.
+    """
+    lo = np.array([margin, margin, depth[0]])
+    hi = np.array([camera.width - margin, camera.height - margin, depth[1]])
+    draws = lo + (hi - lo) * rng.random((count, 3))  # the arithmetic of rng.uniform
+    p_cam = camera.normalize(draws[:, :2]) * draws[:, 2:]
+    rot = world_from_camera.rotation.as_matrix()
+    return (rot @ p_cam[:, :, None])[:, :, 0] + world_from_camera.translation
+
+
+def _draw_outlier(rng, camera: CameraModel, pixels: np.ndarray,
+                  sigma_px: float) -> tuple[np.ndarray, int]:
+    """A wrong pairing: a uniform pixel against a uniformly drawn landmark.
+
+    ``pixels`` are the landmarks' true projections, NaN behind the camera.
+    The pair is redrawn while it happens to look like a true match: the
+    landmark in front of the camera and within 5 max(sigma, 1) px.
+    """
+    while True:
+        pix = rng.uniform([0.0, 0.0], [camera.width - 1.0, camera.height - 1.0])
+        j = int(rng.integers(len(pixels)))
+        if (np.isnan(pixels[j, 0])
+                or np.linalg.norm(pix - pixels[j]) > 5.0 * max(sigma_px, 1.0)):
+            return pix, j
+
+
 def generate_map_correspondences(bundle: MapBundle, map_from_world: YawPose,
                                  camera: CameraModel, world_from_camera: RigidTransform,
                                  count: int, outlier_rate: float, sigma_px: float,
@@ -232,36 +279,18 @@ def generate_map_correspondences(bundle: MapBundle, map_from_world: YawPose,
     if not 0.0 <= outlier_rate < 1.0:
         raise ValueError("outlier rate must be in [0, 1)")
     lm_ids = sorted(bundle.landmarks)
-    if not lm_ids:
-        return []
-    positions = bundle.landmark_positions(lm_ids)
     cam_from_map = world_from_camera.inverse() @ map_from_world.to_rigid().inverse()
-    pts_cam = positions @ cam_from_map.rotation.as_matrix().T + cam_from_map.translation
-    depth_ok = pts_cam[:, 2] > 0.25
-    pixels = np.full((len(lm_ids), 2), np.nan)
-    if depth_ok.any():
-        pixels[depth_ok] = camera.project(pts_cam[depth_ok])
-    visible = depth_ok & camera.in_bounds(np.nan_to_num(pixels, nan=-1.0))
+    pixels, visible = _project_visible(bundle.landmark_positions(lm_ids), cam_from_map,
+                                       camera, 0.25)
     visible_idx = np.flatnonzero(visible)
     if len(visible_idx) == 0:
         return []
 
     out: list[Correspondence] = []
-    chosen = rng.permutation(visible_idx)[:count]
-    for idx in chosen:
-        lm_id = lm_ids[idx]
+    for idx in rng.permutation(visible_idx)[:count]:
         if rng.uniform() < outlier_rate:
-            # wrong pairing: uniform pixel against a uniformly chosen landmark,
-            # rejected while it happens to look like a true match
-            while True:
-                pix = rng.uniform([0.0, 0.0], [camera.width - 1.0, camera.height - 1.0])
-                wrong = lm_ids[rng.integers(len(lm_ids))]
-                widx = lm_ids.index(wrong)
-                if not depth_ok[widx]:
-                    break
-                err = np.linalg.norm(pix - pixels[widx])
-                if err > 5.0 * max(sigma_px, 1.0):
-                    break
+            pix, widx = _draw_outlier(rng, camera, pixels, sigma_px)
+            wrong = lm_ids[widx]
             out.append(Correspondence(camera.camera_id, bundle.map_id, pix,
                                       bundle.landmarks[wrong].position, wrong,
                                       float(rng.beta(2.0, 5.0)), False))
@@ -269,30 +298,11 @@ def generate_map_correspondences(bundle: MapBundle, map_from_world: YawPose,
             pix = pixels[idx] + _truncated_pixel_noise(rng, sigma_px)
             if not camera.in_bounds(pix):
                 continue  # noise pushed it off-sensor; skip rather than clamp
+            lm_id = lm_ids[idx]
             out.append(Correspondence(camera.camera_id, bundle.map_id, pix,
                                       bundle.landmarks[lm_id].position, lm_id,
                                       float(rng.beta(8.0, 2.0)), True))
     return out
-
-
-def generate_correspondences(scenario: "Scenario", frame: int, outlier_rate: float,
-                             sigma_px: float, seed: int, map_id: int | None = None,
-                             camera_id: int = 0,
-                             count: int | None = None) -> list[Correspondence]:
-    """Fresh correspondence set for one camera frame of a built scenario.
-
-    Convenience surface over :func:`generate_map_correspondences`; the
-    scenario's own precomputed match events use the same generator.
-    """
-    map_id = scenario.maps[0].map_id if map_id is None else map_id
-    bundle = next(b for b in scenario.maps if b.map_id == map_id)
-    camera = next(c for c in scenario.rig if c.camera_id == camera_id)
-    fi = int(scenario.frame_indices[frame])
-    world_from_camera = scenario.trajectory.pose(fi) @ camera.imu_from_camera
-    count = scenario.config.correspondences_per_event if count is None else count
-    return generate_map_correspondences(
-        bundle, scenario.map_from_world[map_id], camera, world_from_camera,
-        count, outlier_rate, sigma_px, np.random.default_rng(seed))
 
 
 def make_rig(num_cameras: int = 1, fx: float = 460.0, fy: float = 460.0,
@@ -384,8 +394,7 @@ class Scenario:
 
         self.trajectory = generate_trajectory(config.kind, config.duration,
                                               config.imu_rate, **config.trajectory_params)
-        self.imu_true = self.trajectory.imu
-        self.imu = corrupt_imu(self.imu_true, config.imu_noise,
+        self.imu = corrupt_imu(self.trajectory.imu, config.imu_noise,
                                int(rng.integers(2 ** 31)))
         self.rig = make_rig(config.num_cameras)
 
@@ -402,34 +411,22 @@ class Scenario:
     def _build_local_features(self, rng):
         cfg = self.config
         cam = self.rig[0]
-        points = []
         seed_period = max(1, int(round(cfg.local_seed_stride_s * cfg.cam_rate)))
-        for fi in self.frame_indices[::seed_period]:
-            world_from_cam = self.trajectory.pose(fi) @ cam.imu_from_camera
-            for _ in range(max(4, cfg.local_features_per_frame // 2)):
-                pix = rng.uniform([20.0, 20.0], [cam.width - 20.0, cam.height - 20.0])
-                depth = rng.uniform(*cfg.local_feature_depth)
-                p_cam = cam.normalize(pix) * depth
-                points.append(world_from_cam.apply(p_cam))
-        self.local_points = np.array(points).reshape(-1, 3)
+        self.local_points = np.concatenate([
+            _seed_points(rng, cam, self.trajectory.pose(fi) @ cam.imu_from_camera,
+                         max(4, cfg.local_features_per_frame // 2), 20.0,
+                         cfg.local_feature_depth)
+            for fi in self.frame_indices[::seed_period]])
 
         self.local_observations: list[list[LocalObservation]] = []
-        for frame, fi in enumerate(self.frame_indices):
+        for fi in self.frame_indices:
             obs = []
             for cam_k in self.rig:
                 cam_from_world = (self.trajectory.pose(fi) @ cam_k.imu_from_camera).inverse()
-                pts = (self.local_points @ cam_from_world.rotation.as_matrix().T
-                       + cam_from_world.translation)
-                ok = pts[:, 2] > 0.5
-                if not ok.any():
-                    continue
-                pix = np.full((len(pts), 2), -1.0)
-                pix[ok] = cam_k.project(pts[ok])
-                ok &= cam_k.in_bounds(pix)
+                pix, ok = _project_visible(self.local_points, cam_from_world, cam_k, 0.5)
                 ids = np.flatnonzero(ok)
                 if len(ids) > cfg.local_features_per_frame:
-                    ids = rng.permutation(ids)[:cfg.local_features_per_frame]
-                    ids.sort()
+                    ids = np.sort(rng.permutation(ids)[:cfg.local_features_per_frame])
                 for j in ids:
                     noisy = pix[j] + _truncated_pixel_noise(rng, cfg.local_sigma_px)
                     obs.append(LocalObservation(int(j), cam_k.camera_id, noisy))
@@ -461,55 +458,36 @@ class Scenario:
             lo = max(0, bounds[m] - overlap)
             hi = min(n_frames - 1, bounds[m + 1] + overlap)
             seg = self.frame_indices[lo:hi + 1:cfg.keyframe_stride]
-            keyframe_poses = []
-            world_landmarks = []
-            for fi in seg:
-                world_from_kf = self.trajectory.pose(int(fi)) @ cam.imu_from_camera
-                keyframe_poses.append(world_from_kf)
-                for _ in range(cfg.landmarks_per_keyframe):
-                    pix = rng.uniform([10.0, 10.0], [cam.width - 10.0, cam.height - 10.0])
-                    depth = rng.uniform(*cfg.map_depth)
-                    world_landmarks.append(world_from_kf.apply(cam.normalize(pix) * depth))
+            keyframe_poses = [self.trajectory.pose(int(fi)) @ cam.imu_from_camera
+                              for fi in seg]
+            seeded = np.concatenate([
+                _seed_points(rng, cam, world_from_kf, cfg.landmarks_per_keyframe, 10.0,
+                             cfg.map_depth) for world_from_kf in keyframe_poses])
 
             # optionally adopt landmarks already present in earlier maps
             adopted: list[tuple[np.ndarray, int, int]] = []
             if cfg.shared_landmark_fraction > 0 and shared_pool:
-                n_shared = int(cfg.shared_landmark_fraction * len(world_landmarks))
+                n_shared = int(cfg.shared_landmark_fraction * len(seeded))
                 picks = rng.permutation(len(shared_pool))[:n_shared]
                 adopted = [shared_pool[i] for i in sorted(picks)]
 
+            points = np.concatenate([seeded, np.reshape([p for p, _, _ in adopted], (-1, 3))])
+            # sees[k, i]: keyframe k observes landmark candidate i
+            sees = np.array([_project_visible(points, world_from_kf.inverse(), cam, 0.25)[1]
+                             for world_from_kf in keyframe_poses])
             landmarks = []
-            keyframes = []
-            observed: dict[int, list[int]] = {}
-            lm_world: dict[int, np.ndarray] = {}
-            entries = [(p, None, None) for p in world_landmarks] + [
-                (p, src_map, src_lm) for p, src_map, src_lm in adopted]
-            for lm_idx, (p_world, src_map, src_lm) in enumerate(entries):
-                observers = []
-                for kf_idx, world_from_kf in enumerate(keyframe_poses):
-                    p_cam = world_from_kf.inverse().apply(p_world)
-                    if p_cam[2] <= 0.25:
-                        continue
-                    if cam.in_bounds(cam.project(p_cam)):
-                        observers.append(kf_idx)
-                if not observers:
-                    continue
-                p_map = placement.apply(p_world)
-                landmarks.append(Landmark(lm_idx, p_map, tuple(observers)))
-                lm_world[lm_idx] = p_world
-                for kf_idx in observers:
-                    observed.setdefault(kf_idx, []).append(lm_idx)
-                if src_map is not None:
+            for lm_idx in np.flatnonzero(sees.any(axis=0)).tolist():
+                landmarks.append(Landmark(lm_idx, placement.apply(points[lm_idx]),
+                                          np.flatnonzero(sees[:, lm_idx])))
+                shared_pool.append((points[lm_idx], map_id, lm_idx))
+                if lm_idx >= len(seeded):
+                    _, src_map, src_lm = adopted[lm_idx - len(seeded)]
                     self.associations.append((src_map, src_lm, map_id, lm_idx))
-            for kf_idx, world_from_kf in enumerate(keyframe_poses):
-                pose_in_map = placement.to_rigid() @ world_from_kf
-                keyframes.append(MapKeyframe(kf_idx, pose_in_map,
-                                             tuple(observed.get(kf_idx, ()))))
-            bundle = MapBundle(map_id, keyframes, landmarks)
-            self.maps.append(bundle)
+            keyframes = [MapKeyframe(kf_idx, placement.to_rigid() @ world_from_kf,
+                                     np.flatnonzero(sees[kf_idx]))
+                         for kf_idx, world_from_kf in enumerate(keyframe_poses)]
+            self.maps.append(MapBundle(map_id, keyframes, landmarks))
             self.map_from_world[map_id] = placement
-            for lm in landmarks:
-                shared_pool.append((lm_world[lm.landmark_id], map_id, lm.landmark_id))
 
     # -- map matching events -------------------------------------------------
 
@@ -602,34 +580,21 @@ def make_matching_problem(n: int, inlier_rate: float, sigma_px: float, seed: int
     world_from_camera = RigidTransform(yaw_rotation(yaw_c) @ tilt_rot @ mount, p_c)
 
     n_in = int(round(n * inlier_rate))
+    landmarks = _seed_points(rng, camera, world_from_camera, n, 10.0, depth)
+    pixels, _ = _project_visible(landmarks, world_from_camera.inverse(), camera, 0.25)
     corrs = []
-    landmarks = []
-    for i in range(n):
-        pix = rng.uniform([10.0, 10.0], [camera.width - 10.0, camera.height - 10.0])
-        d = rng.uniform(*depth)
-        point = world_from_camera.apply(camera.normalize(pix) * d)
-        landmarks.append(point)
     for i in range(n):
         if i < n_in:
-            pix = camera.project(world_from_camera.inverse().apply(landmarks[i]))
-            pix = pix + _truncated_pixel_noise(rng, sigma_px)
+            pix = pixels[i] + _truncated_pixel_noise(rng, sigma_px)
             corrs.append(Correspondence(camera.camera_id, 0, pix, landmarks[i], i,
                                         float(rng.beta(8.0, 2.0)), True))
         else:
-            while True:
-                pix = rng.uniform([0.0, 0.0], [camera.width - 1.0, camera.height - 1.0])
-                j = int(rng.integers(n))
-                p_cam = world_from_camera.inverse().apply(landmarks[j])
-                if p_cam[2] <= 0.25:
-                    break
-                if np.linalg.norm(pix - camera.project(p_cam)) > 5.0 * max(sigma_px, 1.0):
-                    break
+            pix, j = _draw_outlier(rng, camera, pixels, sigma_px)
             corrs.append(Correspondence(camera.camera_id, 0, pix, landmarks[j], j,
                                         float(rng.beta(2.0, 5.0)), False))
     order = rng.permutation(n)
     corrs = [corrs[i] for i in order]
 
-    from mapvins.geometry import decompose_yaw  # local import to avoid cycle noise
     cam_yaw, _ = decompose_yaw(world_from_camera.rotation)
     truth = YawPose(-cam_yaw, -yaw_rotation(-cam_yaw).rotate(world_from_camera.translation))
     return corrs, camera, world_from_camera, truth

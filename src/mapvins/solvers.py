@@ -42,7 +42,7 @@ _MIN_DEPTH = 1e-3
 
 
 class MatchingFailureError(RuntimeError):
-    """RANSAC could not produce a pose meeting the inlier floor."""
+    """RANSAC could not produce a verified pose; the message says why."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +357,7 @@ def ransac_matching_frame(frame: MatchingFrame, cfg: RansacConfig) -> MatchResul
     pair, yaws, ts = _solve_pairs(frame, picks[:, 0], picks[:, 1])
 
     if len(yaws) == 0:
-        raise MatchingFailureError("no candidate met the inlier floor")
+        raise MatchingFailureError("no sample yielded a pose candidate")
     errs = verifier.batch_errors(yaws, ts)
     counts = (errs <= cfg.threshold_px).sum(axis=1)
     if cfg.sample_size == 3:  # 3-sample baseline: the third draw must fit the model too

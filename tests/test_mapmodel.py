@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mapvins.cameras import CameraModel
 from mapvins.geometry import RigidTransform, Rotation, yaw_rotation
 from mapvins.mapmodel import (
     Landmark,
@@ -9,15 +8,9 @@ from mapvins.mapmodel import (
     MapInvariantError,
     MapParseError,
     MapKeyframe,
-    landmarks_visible_from,
     load_map,
     save_map,
 )
-
-
-@pytest.fixture
-def camera():
-    return CameraModel(0, fx=460.0, fy=460.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
 def small_bundle() -> MapBundle:
@@ -112,48 +105,3 @@ class TestFileRoundtrip:
         with pytest.raises(MapParseError):
             load_map(path)
 
-
-class TestVisibility:
-    def test_landmark_behind_camera_excluded(self, camera):
-        bundle = MapBundle(1, [MapKeyframe(0, RigidTransform.identity())],
-                           [Landmark(0, [0.0, 0.0, -5.0], (0,)),
-                            Landmark(1, [0.0, 0.0, 5.0], (0,))])
-        visible = landmarks_visible_from(bundle, RigidTransform.identity(), camera)
-        assert [lm_id for lm_id, _ in visible] == [1]
-
-    def test_on_axis_landmark_has_zero_bearing(self, camera):
-        bundle = MapBundle(1, [MapKeyframe(0, RigidTransform.identity())],
-                           [Landmark(0, [0.0, 0.0, 5.0], (0,))])
-        (lm_id, bearing), = landmarks_visible_from(bundle, RigidTransform.identity(), camera)
-        assert lm_id == 0
-        assert np.allclose(bearing, [0.0, 0.0])
-        # normalized bearing maps to the principal point
-        assert np.allclose(camera.project(np.array([bearing[0], bearing[1], 1.0])),
-                           [camera.cx, camera.cy])
-
-    def test_matches_brute_force_projection_filter(self, camera):
-        # Oracle: project everything, filter by depth and frustum by hand.
-        rng = np.random.default_rng(42)
-        pose = RigidTransform(Rotation.from_rotvec([0.05, 0.6, -0.1]), [0.4, -0.2, 0.1])
-        landmarks = [Landmark(i, rng.uniform([-6, -6, -6], [6, 6, 6]), (0,)) for i in range(10)]
-        bundle = MapBundle(1, [MapKeyframe(0, RigidTransform.identity())], landmarks)
-
-        got = {lm_id for lm_id, _ in landmarks_visible_from(bundle, pose, camera)}
-        expected = set()
-        inv = np.linalg.inv(pose.as_matrix())
-        for lm in landmarks:
-            p = inv[:3, :3] @ lm.position + inv[:3, 3]
-            if p[2] <= 1e-6:
-                continue
-            u = camera.fx * p[0] / p[2] + camera.cx
-            v = camera.fy * p[1] / p[2] + camera.cy
-            if 0 <= u <= camera.width - 1 and 0 <= v <= camera.height - 1:
-                expected.add(lm.landmark_id)
-        assert got == expected
-
-    def test_bearings_satisfy_projection_exactly(self, camera):
-        bundle = small_bundle()
-        pose = RigidTransform(yaw_rotation(0.3), [0.0, 0.0, 0.0])
-        for lm_id, bearing in landmarks_visible_from(bundle, pose, camera):
-            p_cam = pose.inverse().apply(bundle.landmarks[lm_id].position)
-            assert np.abs(bearing - p_cam[:2] / p_cam[2]).max() < 1e-15

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from mapvins.geometry import GRAVITY, Rotation
+from mapvins.cameras import CameraModel
+from mapvins.geometry import GRAVITY, RigidTransform, Rotation, yaw_rotation
 from mapvins.sim import (
     ImuNoiseParams,
     ImuSample,
     Scenario,
     ScenarioConfig,
+    _draw_outlier,
+    _project_visible,
     corrupt_imu,
-    generate_correspondences,
     generate_map_correspondences,
     generate_trajectory,
     make_matching_problem,
@@ -151,16 +153,39 @@ class TestCorrespondences:
             assert err <= 3.0 * sigma + 1e-9
 
     def test_flagged_outliers_are_inconsistent(self):
+        # both generators draw outliers with one rule: a landmark in front of
+        # the camera is never paired with a pixel within 5 max(sigma, 1) px
+        # of its projection
         corrs, camera, world_from_camera, _ = make_matching_problem(
             200, inlier_rate=0.3, sigma_px=1.0, seed=17)
-        cam_from_world = world_from_camera.inverse()
-        for c in corrs:
-            if c.is_inlier:
-                continue
+        views = [(c, camera, world_from_camera.inverse()) for c in corrs]
+        scenario = Scenario(ScenarioConfig(duration=4.0, seed=19, num_cameras=2,
+                                           outlier_rate=0.5, sigma_px=1.0))
+        for event in scenario.map_events:
+            world_from_imu = scenario.frame_pose(event.frame)
+            map_from_world = scenario.map_from_world[event.map_id].to_rigid()
+            for c in event.correspondences:
+                cam = scenario.rig[c.camera_id]
+                views.append((c, cam, (map_from_world @ world_from_imu
+                                       @ cam.imu_from_camera).inverse()))
+        outliers = [v for v in views if not v[0].is_inlier]
+        assert len(outliers) > len(corrs) // 2
+        for c, cam, cam_from_world in outliers:
             p_cam = cam_from_world.apply(c.point)
             if p_cam[2] <= 0.25:
                 continue  # behind camera: inconsistent by construction
-            assert np.linalg.norm(camera.project(p_cam) - c.pixel) > 3.0
+            assert np.linalg.norm(cam.project(p_cam) - c.pixel) > 5.0 - 1e-9
+
+    def test_outlier_drawer_rejects_near_matches(self):
+        # landmark 0 projects to the image centre, landmark 1 is behind the
+        # camera (NaN): a pairing with 0 must land beyond 5 * sigma = 250 px
+        camera = CameraModel(0, 460.0, 460.0, 320.0, 240.0, 640, 480)
+        pixels = np.array([[320.0, 240.0], [np.nan, np.nan]])
+        rng = np.random.default_rng(3)
+        draws = [_draw_outlier(rng, camera, pixels, 50.0) for _ in range(300)]
+        near = [np.linalg.norm(pix - pixels[0]) for pix, j in draws if j == 0]
+        assert len(near) > 20 and min(near) > 250.0
+        assert sum(j == 1 for _, j in draws) > 100
 
     def test_behind_camera_never_emitted_as_inlier(self):
         scenario = Scenario(ScenarioConfig(duration=4.0, seed=21, outlier_rate=0.4))
@@ -187,8 +212,11 @@ class TestCorrespondences:
 
     def test_frame_level_generation_is_seeded(self):
         scenario = Scenario(ScenarioConfig(duration=2.0, seed=2))
-        a = generate_correspondences(scenario, 0, 0.5, 1.0, seed=9)
-        b = generate_correspondences(scenario, 0, 0.5, 1.0, seed=9)
+        camera = scenario.rig[0]
+        a, b = (generate_map_correspondences(
+            scenario.maps[0], scenario.map_from_world[1], camera,
+            scenario.frame_pose(0) @ camera.imu_from_camera, 40, 0.5, 1.0,
+            np.random.default_rng(9)) for _ in range(2))
         assert len(a) == len(b) > 0
         for x, y in zip(a, b):
             assert np.array_equal(x.pixel, y.pixel) and x.landmark_id == y.landmark_id
@@ -233,7 +261,97 @@ class TestScenario:
                 err = np.linalg.norm(cam.project(p_cam) - c.pixel)
                 assert err <= 3.0 * scenario.config.sigma_px + 1e-9
 
+    def test_observers_match_per_pair_visibility(self):
+        # Oracle: the per-pair loop the map builder used before it projected
+        # all landmarks into a keyframe at once (depth > 0.25, on the sensor)
+        cfg = ScenarioConfig(duration=8.0, seed=5, num_maps=2, num_cameras=2,
+                             shared_landmark_fraction=0.3)
+        scenario = Scenario(cfg)
+        cam = scenario.rig[0]
+        assert scenario.associations  # adopted landmarks are covered too
+        for bundle in scenario.maps:
+            assert len(bundle.landmarks) > 50
+            seen_by = {k: [] for k in bundle.keyframes}
+            for lm_id in sorted(bundle.landmarks):
+                lm = bundle.landmarks[lm_id]
+                observers = []
+                for kf_id in sorted(bundle.keyframes):
+                    p_cam = bundle.keyframes[kf_id].pose.inverse().apply(lm.position)
+                    if p_cam[2] <= 0.25:
+                        continue
+                    if cam.in_bounds(cam.project(p_cam)):
+                        observers.append(kf_id)
+                        seen_by[kf_id].append(lm_id)
+                assert lm.observing_keyframes == tuple(observers)
+            for kf_id, kf in bundle.keyframes.items():
+                assert kf.observed_landmarks == tuple(seen_by[kf_id])
+
     def test_rig_size_limits(self):
         assert len(make_rig(4)) == 4
         with pytest.raises(ValueError):
             make_rig(5)
+
+
+class TestProjectVisible:
+    @pytest.fixture
+    def camera(self):
+        return CameraModel(0, fx=460.0, fy=460.0, cx=320.0, cy=240.0, width=640, height=480)
+
+    def test_landmark_behind_camera_excluded(self, camera):
+        pixels, visible = _project_visible(np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 5.0]]),
+                                           RigidTransform.identity(), camera, 0.25)
+        assert visible.tolist() == [False, True]
+        assert np.isnan(pixels[0]).all()
+
+    def test_on_axis_landmark_projects_to_principal_point(self, camera):
+        pixels, visible = _project_visible(np.array([[0.0, 0.0, 5.0]]),
+                                           RigidTransform.identity(), camera, 0.25)
+        assert visible.tolist() == [True]
+        assert np.array_equal(pixels[0], [camera.cx, camera.cy])
+
+    def test_depth_exactly_min_depth_excluded(self, camera):
+        points = np.array([[0.0, 0.0, 0.25], [0.0, 0.0, np.nextafter(0.25, 1.0)]])
+        pixels, visible = _project_visible(points, RigidTransform.identity(), camera, 0.25)
+        assert visible.tolist() == [False, True]
+        assert np.isnan(pixels[0]).all() and not np.isnan(pixels[1]).any()
+
+    def test_pixel_border_inclusive(self, camera):
+        # u = fx x / z + cx: x = 319, z = 460 lands exactly on u = width - 1
+        points = np.array([[319.0, 0.0, 460.0], [319.0001, 0.0, 460.0],
+                           [-320.0, 0.0, 460.0], [-320.0001, 0.0, 460.0]])
+        pixels, visible = _project_visible(points, RigidTransform.identity(), camera, 0.25)
+        assert pixels[0, 0] == camera.width - 1 and pixels[2, 0] == 0.0
+        assert visible.tolist() == [True, False, True, False]
+
+    def test_matches_brute_force_projection_filter(self, camera):
+        # Oracle: project everything, filter by depth and frustum by hand.
+        rng = np.random.default_rng(42)
+        pose = RigidTransform(Rotation.from_rotvec([0.05, 0.6, -0.1]), [0.4, -0.2, 0.1])
+        points = rng.uniform([-6, -6, -6], [6, 6, 6], size=(10, 3))
+
+        _, visible = _project_visible(points, pose.inverse(), camera, 1e-6)
+        expected = []
+        inv = np.linalg.inv(pose.as_matrix())
+        for p_world in points:
+            p = inv[:3, :3] @ p_world + inv[:3, 3]
+            if p[2] <= 1e-6:
+                expected.append(False)
+                continue
+            u = camera.fx * p[0] / p[2] + camera.cx
+            v = camera.fy * p[1] / p[2] + camera.cy
+            expected.append(bool(0 <= u <= camera.width - 1 and 0 <= v <= camera.height - 1))
+        assert visible.tolist() == expected
+
+    def test_pixels_satisfy_projection_exactly(self, camera):
+        # a camera 0.3 rad off the +x axis, looking at points ahead of it
+        mount = Rotation.from_matrix(np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0],
+                                               [0.0, -1.0, 0.0]]))
+        pose = RigidTransform(yaw_rotation(0.3) @ mount, [0.0, -1.0, 1.0])
+        points = np.array([[5.0, 0.1, 1.0], [4.5, -0.3, 0.8], [6.0, 1.0, 1.2],
+                           [3.3, 2.2, 1.1], [7.1, -1.4, 0.9]])
+        pixels, visible = _project_visible(points, pose.inverse(), camera, 0.25)
+        assert visible.sum() >= 3
+        for p_world, pixel in zip(points[visible], pixels[visible]):
+            p_cam = pose.inverse().apply(p_world)
+            # the former bearing bound of 1e-15, in pixels
+            assert np.abs(pixel - camera.project(p_cam)).max() < 1e-15 * camera.fx

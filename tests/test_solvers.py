@@ -319,6 +319,14 @@ class TestRansac:
                                             min_inliers=10, seed=0),
                         [camera], wfc.rotation)
 
+    def test_no_pose_candidate_has_its_own_reason(self):
+        # every map point coincides, so no 2-point sample yields a candidate
+        from dataclasses import replace
+        corrs, camera, wfc, _ = make_matching_problem(20, 1.0, 0.0, seed=10)
+        corrs = [replace(c, point=corrs[0].point) for c in corrs]
+        with pytest.raises(MatchingFailureError, match="no sample yielded a pose candidate"):
+            ransac_pose(corrs, RansacConfig(iterations=20, seed=0), [camera], wfc.rotation)
+
     def test_mixed_map_ids_rejected(self):
         corrs, camera, wfc, _ = make_matching_problem(10, 1.0, 0.0, seed=9)
         from dataclasses import replace
