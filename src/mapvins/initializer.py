@@ -7,7 +7,9 @@ interval stabbing in O(K + grid), with per-constraint slack covering the grid
 spacing so no true inlier can be missed, and the count exact at every grid
 point), then solve the 3DoF translation by exact maximum-clique search over a
 pairwise compatibility graph, and finally polish with nonlinear least squares
-on the surviving inliers.
+on the surviving inliers.  Every translation solve of the last stages (the
+provisional pair solves, the pair compatibility test, the tied cliques) is
+one batched call of :func:`mapvins.solvers.fit_translations`.
 
 Every stage is a pure deterministic function of its inputs: repeated calls
 return bit-identical results, which is the property that distinguishes this
@@ -42,6 +44,7 @@ from mapvins.sim import Correspondence
 from mapvins.solvers import (
     MatchingFrame,
     align_correspondences,
+    fit_translations,
     pair_tims,
     refine_yaw_pose,
 )
@@ -259,63 +262,39 @@ def _least_squares_yaw(d1, d2, d3, alpha0: float) -> float:
 def _provisional_depths(frame: MatchingFrame, idx, alpha: float,
                         translation) -> np.ndarray:
     """Depth of each match along its camera's optical axis at a trial pose."""
-    rot = np.array([[math.cos(alpha), -math.sin(alpha), 0.0],
-                    [math.sin(alpha), math.cos(alpha), 0.0],
-                    [0.0, 0.0, 1.0]])
-    solved = (rot @ frame.points[idx][:, :, None])[:, :, 0] + translation
-    p_cam = ((frame.cam_rotation[idx] @ solved[:, :, None])[:, :, 0]
-             + frame.cam_translation[idx])
-    return np.maximum(p_cam[:, 2], 0.5)
+    return np.maximum(frame.camera_points(alpha, translation, idx)[:, 2], 0.5)
 
 
-def _weighted_rows(frame: MatchingFrame, idx, alpha: float, depths: np.ndarray):
-    """Members' ray rows and right-hand sides at yaw alpha, scaled by f/depth.
-
-    Residuals of ``rows @ t - rhs`` are then in pixel units.
-    """
-    kappa = 0.5 * (frame.intrinsics[idx, 0] + frame.intrinsics[idx, 1]) / depths
-    rhs = frame.rhs(idx, math.cos(alpha), math.sin(alpha))
-    return frame.basis[idx] * kappa[:, None, None], rhs * kappa[:, None]
-
-
-def _pair_feasibility(frame: MatchingFrame, idx, alpha: float,
-                      depths: np.ndarray, bounds_px: np.ndarray,
-                      slack_px: float, scale: float = 1.5):
-    """Pairwise translation compatibility via weighted least squares.
-
-    Each member's two ray-space rows are scaled by f/depth so residuals are
-    in pixel units; a pair is compatible when the residual of the joint
-    weighted least-squares translation stays within the stacked pixel
-    bounds.  If a common translation satisfying both cones exists, the
-    minimum weighted residual cannot exceed sqrt(b_i^2 + b_j^2) up to
-    perspective linearization error, which ``scale`` and ``slack_px`` cover;
-    this keeps true inlier pairs adjacent (recall safety).  Near-parallel
-    (ill-conditioned) pairs come out with small residuals and are adjacent,
-    which matches the geometry: their feasible translation set is huge.
-    """
-    w_rows, w_rhs = _weighted_rows(frame, idx, alpha, depths)
-    m = len(idx)
-    ii, jj = np.triu_indices(m, k=1)
-    rows = np.concatenate([w_rows[ii], w_rows[jj]], axis=1)   # (p, 4, 3)
-    rr = np.concatenate([w_rhs[ii], w_rhs[jj]], axis=1)       # (p, 4)
-    ata = np.einsum("pki,pkj->pij", rows, rows) + 1e-12 * np.eye(3)
-    atb = np.einsum("pki,pk->pi", rows, rr)
-    ts = np.linalg.solve(ata, atb[..., None])[..., 0]
-    resid = np.einsum("pki,pi->pk", rows, ts) - rr
-    rss = np.linalg.norm(resid, axis=1)
-    limit = scale * np.hypot(bounds_px[ii], bounds_px[jj]) + slack_px
-    return ii, jj, rss <= limit
+def _pixel_weights(frame: MatchingFrame, idx, depths: np.ndarray) -> np.ndarray:
+    """Weights (f / depth)^2 that turn squared ray distances into squared pixels."""
+    return (0.5 * (frame.intrinsics[idx, 0] + frame.intrinsics[idx, 1]) / depths) ** 2
 
 
 def compatibility_graph(frame: MatchingFrame, idx, alpha: float,
                         depths: np.ndarray, bounds_px: np.ndarray,
                         slack_px: float) -> np.ndarray:
-    """Boolean adjacency over ``idx`` for the translation consensus stage."""
+    """Boolean adjacency over ``idx`` for the translation consensus stage.
+
+    A pair is compatible when the residual of its joint translation fit,
+    with ray distances weighted into pixels by f/depth
+    (:func:`mapvins.solvers.fit_translations`), stays within the stacked
+    pixel bounds.  If a common translation satisfying both cones exists, the
+    minimum weighted residual cannot exceed sqrt(b_i^2 + b_j^2) up to
+    perspective linearization error, which a factor of 1.5 and ``slack_px``
+    cover; this keeps true inlier pairs adjacent (recall safety).  Near-parallel
+    (ill-conditioned) pairs come out with small residuals and are adjacent,
+    which matches the geometry: their feasible translation set is huge.
+    """
+    idx = np.asarray(idx, dtype=int)
     m = len(idx)
     adjacency = np.zeros((m, m), dtype=bool)
     if m < 2:
         return adjacency
-    ii, jj, ok = _pair_feasibility(frame, idx, alpha, depths, bounds_px, slack_px)
+    ii, jj = np.triu_indices(m, k=1)
+    w = _pixel_weights(frame, idx, depths)
+    _, rss = fit_translations(frame, np.column_stack([idx[ii], idx[jj]]), alpha,
+                              np.column_stack([w[ii], w[jj]]))
+    ok = rss <= 1.5 * np.hypot(bounds_px[ii], bounds_px[jj]) + slack_px
     adjacency[ii[ok], jj[ok]] = True
     adjacency |= adjacency.T
     return adjacency
@@ -380,52 +359,47 @@ def solve_translation(frame: MatchingFrame, indices, alpha: float,
     """Consensus translation at fixed yaw via exact maximum-clique search.
 
     Two correspondences are adjacent iff a common translation can satisfy
-    both of their reprojection bounds (see :func:`_pair_feasibility`); the
+    both of their reprojection bounds (see :func:`compatibility_graph`); the
     returned inlier set is a maximum clique of that graph, and the
-    translation is the weighted least-squares fit over the clique.
+    translation is the weighted least-squares fit over the clique.  Tied
+    cliques all have the maximum size, so one batched fit scores them; the
+    smallest residual wins, then the first clique in sorted order.
     ``depths`` weight residuals into pixel units; when absent, a provisional
     translation (coordinate-wise median of well-conditioned pair solutions)
-    supplies them.
+    supplies them.  A single match gets the minimum-norm translation onto
+    its ray.
     """
-    idx = list(indices)
-    if not idx:
+    idx = np.asarray(list(indices), dtype=int)
+    if len(idx) == 0:
         raise InitializationError("empty correspondence set for translation")
-    bounds_px = np.full(len(idx), bound_px)
-    if len(idx) == 1:
-        rhs = frame.rhs(idx[0], math.cos(alpha), math.sin(alpha))
-        t, *_ = np.linalg.lstsq(frame.basis[idx[0]], rhs, rcond=None)
-        return t, [idx[0]]
-
     if depths is None:
         depths = _median_pair_depths(frame, idx, alpha)
-    adjacency = compatibility_graph(frame, idx, alpha, depths, bounds_px, slack_px)
-    w_rows, w_rhs = _weighted_rows(frame, idx, alpha, depths)
-    best = None  # (key, members, translation); ties on fit quality
-    for clique_local in max_cliques(adjacency):
-        clique_local = clique_local or [0]
-        rows, rr = w_rows[clique_local], w_rhs[clique_local]
-        t_fit, *_ = np.linalg.lstsq(rows.reshape(-1, 3), rr.ravel(), rcond=None)
-        rss = float(np.linalg.norm(np.einsum("mki,i->mk", rows, t_fit) - rr))
-        key = (rss, tuple(clique_local))
-        if best is None or key < best[0]:
-            best = (key, clique_local, t_fit)
-    _, clique_local, t_hat = best
-    return t_hat, [idx[k] for k in clique_local]
+    adjacency = compatibility_graph(frame, idx, alpha, depths,
+                                    np.full(len(idx), bound_px), slack_px)
+    cliques = np.array(max_cliques(adjacency))          # (ties, clique size)
+    w = _pixel_weights(frame, idx, depths)
+    ts, rss = fit_translations(frame, idx[cliques], alpha, w[cliques])
+    best = min(range(len(cliques)), key=lambda c: (rss[c], cliques[c].tolist()))
+    return ts[best], idx[cliques[best]].tolist()
 
 
-def _median_pair_depths(frame: MatchingFrame, idx, alpha: float) -> np.ndarray:
+def _well_conditioned(rays_i: np.ndarray, rays_j: np.ndarray) -> np.ndarray:
+    """Pairs of unit rays whose translation fit is well conditioned.
+
+    A pair's normal matrix ``2I - r_i r_i^T - r_j r_j^T`` has eigenvalues 2
+    and 1 -+ |r_i . r_j|: the smallest is above 1e-4 times the largest iff
+    ``1 - |r_i . r_j| > 2e-4``.
+    """
+    return 1.0 - np.abs(np.einsum("pi,pi->p", rays_i, rays_j)) > 2e-4
+
+
+def _median_pair_depths(frame: MatchingFrame, idx: np.ndarray, alpha: float) -> np.ndarray:
     """Provisional depths from the median of well-conditioned pair solves."""
-    bas, rhs = frame.basis[idx], frame.rhs(idx, math.cos(alpha), math.sin(alpha))
-    m = len(idx)
-    ii, jj = np.triu_indices(m, k=1)
-    rows = np.concatenate([bas[ii], bas[jj]], axis=1)
-    rr = np.concatenate([rhs[ii], rhs[jj]], axis=1)
-    ata = np.einsum("pki,pkj->pij", rows, rows)
-    atb = np.einsum("pki,pk->pi", rows, rr)
-    eig = np.linalg.eigvalsh(ata)
-    good = eig[:, 0] > 1e-4 * np.clip(eig[:, -1], 1e-12, None)
+    ii, jj = np.triu_indices(len(idx), k=1)
+    good = _well_conditioned(frame.rays[idx[ii]], frame.rays[idx[jj]])
     if good.any():
-        ts = np.linalg.solve(ata[good] + 1e-12 * np.eye(3), atb[good][..., None])[..., 0]
+        ts, _ = fit_translations(frame, np.column_stack([idx[ii[good]], idx[jj[good]]]),
+                                 alpha)
         t_prov = np.median(ts, axis=0)
     else:
         t_prov = np.zeros(3)

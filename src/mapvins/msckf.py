@@ -322,30 +322,37 @@ def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
     return state
 
 
+def _insert_block(cov: np.ndarray, at: int, cross: np.ndarray,
+                  corner: np.ndarray) -> np.ndarray:
+    """``cov`` with a 6-state block inserted before index ``at``.
+
+    ``cross`` (6, d) is the new block's covariance with the old states and
+    ``corner`` (6, 6) its own.
+    """
+    rows = np.concatenate([cov[:at], cross, cov[at:]])
+    cols = np.concatenate([cross[:, :at].T, corner, cross[:, at:].T])
+    return np.concatenate([rows[:, :at], cols, rows[:, at:]], axis=1)
+
+
+def _delete_block(cov: np.ndarray, at: int) -> np.ndarray:
+    """``cov`` without the rows and columns of the 6-state block at ``at``."""
+    rows = np.concatenate([cov[:at], cov[at + 6:]])
+    return np.concatenate([rows[:, :at], rows[:, at + 6:]], axis=1)
+
+
 def clone_and_marginalize(state: FilterState, frame: int) -> FilterState:
     """Append a clone of the current pose; drop the oldest beyond the window."""
-    d = state.dim
     insert_at = IMU_DIM + 6 * len(state.clones)  # end of the clone section
-    jac = np.zeros((6, d))
-    jac[0:3, _TH] = np.eye(3)
-    jac[3:6, _P] = np.eye(3)
-    cross = jac @ state.P
-    corner = cross @ jac.T
-    big = np.zeros((d + 6, d + 6))
-    keep = np.r_[0:insert_at, insert_at + 6:d + 6]
-    big[np.ix_(keep, keep)] = state.P
-    big[insert_at:insert_at + 6][:, keep] = cross
-    big[np.ix_(keep, np.arange(insert_at, insert_at + 6))] = cross.T
-    big[insert_at:insert_at + 6, insert_at:insert_at + 6] = corner
-    state.P = big
+    cross = np.concatenate([state.P[_TH], state.P[_P]])   # the pose rows
+    corner = np.concatenate([cross[:, _TH], cross[:, _P]], axis=1)
+    state.P = _insert_block(state.P, insert_at, cross, corner)
     state.clones[frame] = (state.q_IL, state.p.copy())
 
     while len(state.clones) > state.config.window_size:
         oldest = next(iter(state.clones))
         start = state.clone_index(oldest)
         del state.clones[oldest]
-        keep = np.r_[0:start, start + 6:state.P.shape[0]]
-        state.P = state.P[np.ix_(keep, keep)]
+        state.P = _delete_block(state.P, start)
     return state
 
 
@@ -581,13 +588,8 @@ def register_map(state: FilterState, bundle: MapBundle,
     cfg = state.config
     sigma_pos = cfg.tau_sigma_pos if sigma_pos is None else sigma_pos
     sigma_rot = cfg.tau_sigma_rot if sigma_rot is None else sigma_rot
-    insert_at = IMU_DIM + 6 * len(state.clones) + 6 * len(state.map_tau)
-    d = state.dim
-    new_p = np.insert(state.P, insert_at, np.zeros((6, d)), axis=0)
-    new_p = np.insert(new_p, insert_at, np.zeros((6, d + 6)), axis=1)
-    block = np.diag([sigma_rot ** 2] * 3 + [sigma_pos ** 2] * 3)
-    new_p[insert_at:insert_at + 6, insert_at:insert_at + 6] = block
-    state.P = new_p
+    state.P = _insert_block(state.P, state.active_dim, np.zeros((6, state.dim)),
+                            np.diag([sigma_rot ** 2] * 3 + [sigma_pos ** 2] * 3))
     state.map_tau[bundle.map_id] = (map_from_local.rotation,
                                     map_from_local.translation.copy())
     state.bundles[bundle.map_id] = bundle
@@ -609,11 +611,8 @@ def ensure_keyframe(state: FilterState, map_id: int, kf_id: int) -> bool:
     if len(state.keyframes) >= cfg.max_nuisance_keyframes:
         return False
     pose = state.bundles[map_id].keyframes[kf_id].pose
-    d = state.dim
-    new_p = np.zeros((d + 6, d + 6))
-    new_p[:d, :d] = state.P
-    new_p[d:, d:] = np.diag([cfg.kf_sigma_rot ** 2] * 3 + [cfg.kf_sigma_pos ** 2] * 3)
-    state.P = new_p
+    state.P = _insert_block(state.P, state.dim, np.zeros((6, state.dim)),
+                            np.diag([cfg.kf_sigma_rot ** 2] * 3 + [cfg.kf_sigma_pos ** 2] * 3))
     state.keyframes[key] = (pose.rotation, pose.translation.copy())
     return True
 

@@ -17,9 +17,11 @@ plane of the two rays:
 
 This translation-invariant measurement (TIM) of the pair is computed in one
 place, :func:`pair_tims`.  Its up-to-two roots are the yaw candidates of the
-2-point solver (:func:`_solve_pairs`), which then solves t from the pair's
-four ray rows ``basis_k (R(alpha) F_k + t - c_k) = 0``; the initializer votes
-on the same TIMs.
+2-point solver (:func:`_solve_pairs`); the initializer votes on the same
+TIMs.  At a fixed yaw, every translation solve (a 2-point pair, and the
+initializer's pairs, cliques and single matches) is one call of
+:func:`fit_translations`, which minimizes the perpendicular distances
+``(I - r_k r_k^T) (R(alpha) F_k + t - c_k)`` of the points from their rays.
 
 Solved pose convention: ``cam_from_map`` such that
 ``X_query = R(yaw) @ F_map + t``.  ``MatchResult.pose_in_map`` gives the
@@ -39,6 +41,7 @@ from mapvins.geometry import RigidTransform, Rotation, YawPose, decompose_yaw
 from mapvins.sim import Correspondence
 
 _MIN_DEPTH = 1e-3
+_RIDGE = 1e-15
 
 
 class MatchingFailureError(RuntimeError):
@@ -49,16 +52,10 @@ class MatchingFailureError(RuntimeError):
 class MatchingFrame:
     """Correspondences lifted into one gravity-aligned solving frame, as arrays.
 
-    Row k of every per-match array is correspondence k.  The rest is derived
-    once, on construction:
-
-    * ``basis[k]`` (2, 3): two orthonormal rows orthogonal to ``rays[k]``; the
-      match's ray constraint at yaw alpha reads ``basis[k] @ t = rhs`` (see
-      :meth:`rhs`), from the rows ``cos_rows``, ``sin_rows``, ``const_rows``
-      (n, 2), the parts of ``basis[k] (R(alpha) F_k - c_k)``;
-    * ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3): the match's
-      camera from the solving frame; ``intrinsics`` (n, 4): its fx, fy, cx,
-      cy.
+    Row k of every per-match array is correspondence k.  Derived once, on
+    construction: ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3),
+    the match's camera from the solving frame, and ``intrinsics`` (n, 4), its
+    fx, fy, cx, cy.
     """
 
     rays: np.ndarray           # (n, 3) unit directions in the solving frame
@@ -69,25 +66,11 @@ class MatchingFrame:
     weights: np.ndarray        # (n,)
     cameras: dict[int, CameraModel]
     cam_from_solving: dict[int, RigidTransform]
-    basis: np.ndarray = field(init=False)
-    cos_rows: np.ndarray = field(init=False)
-    sin_rows: np.ndarray = field(init=False)
-    const_rows: np.ndarray = field(init=False)
     cam_rotation: np.ndarray = field(init=False)
     cam_translation: np.ndarray = field(init=False)
     intrinsics: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rays, points, n = self.rays, self.points, len(self.points)
-        seeds = np.where(np.abs(rays[:, 2:3]) < 0.9,
-                         np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]))
-        b1 = np.cross(seeds, rays)
-        b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
-        bas = np.stack([b1, np.cross(rays, b1)], axis=1)          # (n, 2, 3)
-        zero = np.zeros(n)
-        planar = np.column_stack([points[:, 0], points[:, 1], zero])   # cos part of R F
-        turned = np.column_stack([-points[:, 1], points[:, 0], zero])  # sin part
-        fixed = np.column_stack([zero, zero, points[:, 2]]) - self.centers
         ids = sorted(self.cameras)
         if not np.isin(self.camera_ids, ids).all():
             raise ValueError("matches from a camera outside the rig")
@@ -95,10 +78,6 @@ class MatchingFrame:
         cams = [self.cameras[c] for c in ids]
         poses = [self.cam_from_solving[c] for c in ids]
         derived = {
-            "basis": bas,
-            "cos_rows": np.einsum("nij,nj->ni", bas, planar),
-            "sin_rows": np.einsum("nij,nj->ni", bas, turned),
-            "const_rows": np.einsum("nij,nj->ni", bas, fixed),
             "cam_rotation": np.array([p.rotation.as_matrix() for p in poses]
                                      ).reshape(-1, 3, 3)[slot],
             "cam_translation": np.array([p.translation for p in poses]).reshape(-1, 3)[slot],
@@ -111,9 +90,20 @@ class MatchingFrame:
     def __len__(self) -> int:
         return len(self.points)
 
-    def rhs(self, idx, cos, sin) -> np.ndarray:
-        """Right-hand sides (len(idx), 2) of ``basis[idx] @ t = rhs`` at yaw (cos, sin)."""
-        return -(self.cos_rows[idx] * cos + self.sin_rows[idx] * sin + self.const_rows[idx])
+    def subset(self, idx) -> "MatchingFrame":
+        """The matches ``idx`` as a frame of their own."""
+        return MatchingFrame(self.rays[idx], self.centers[idx], self.points[idx],
+                             self.pixels[idx], self.camera_ids[idx], self.weights[idx],
+                             self.cameras, self.cam_from_solving)
+
+    def camera_points(self, yaw: float, t, idx=slice(None)) -> np.ndarray:
+        """Points of matches ``idx`` in their cameras, ``R_cs (R(yaw) F + t) + t_cs``."""
+        rot = np.array([[math.cos(yaw), -math.sin(yaw), 0.0],
+                        [math.sin(yaw), math.cos(yaw), 0.0],
+                        [0.0, 0.0, 1.0]])
+        solved = self.points[idx] @ rot.T + t
+        return (np.einsum("nij,nj->ni", self.cam_rotation[idx], solved)
+                + self.cam_translation[idx])
 
 
 @dataclass
@@ -216,16 +206,57 @@ def _wrap_angles(x: np.ndarray) -> np.ndarray:
     return np.where(x == -math.pi, math.pi, x)
 
 
+def fit_translations(frame: MatchingFrame, members: np.ndarray, yaw,
+                     weights: np.ndarray | None = None):
+    """Weighted least-squares translation of each group of matches at its yaw.
+
+    Row g of ``members`` (groups, m) lists the matches of group g, ``yaw``
+    is one angle or one per group, and ``weights`` (groups, m) defaults
+    to 1.  Group g's t minimizes ``sum_k w_k |e_k|^2`` over the
+    perpendicular distances ``e_k = (I - r_k r_k^T) (R(yaw_g) F_k + t - c_k)``
+    of its points from their rays, from the 3x3 normal equations
+    ``sum_k w_k (I - r_k r_k^T) t = -sum_k w_k e_k(0)``.  A ridge of 1e-15
+    times the total weight keeps groups of parallel rays solvable; a single
+    ray fixes t only up to its direction, so a one-member group gets the
+    minimum-norm t, whose residual is 0.  Returns t (groups, 3) and the
+    residual norms ``sqrt(sum_k w_k |e_k|^2)`` (groups,).
+    """
+    members = np.asarray(members, dtype=int)
+    groups, m = members.shape
+    yaw = np.asarray(yaw, dtype=float).reshape(-1, 1)     # (1 or groups, 1)
+    cos, sin = np.cos(yaw), np.sin(yaw)
+    r = frame.rays[members]
+    v = frame.points[members]                 # R(yaw) F - c, built in place
+    fx = v[..., 0].copy()
+    v[..., 0] = cos * fx - sin * v[..., 1]
+    v[..., 1] = sin * fx + cos * v[..., 1]
+    v -= frame.centers[members]
+
+    def perpendicular(x):
+        return x - r * np.einsum("gmi,gmi->gm", r, x)[..., None]
+
+    if m == 1:
+        return -perpendicular(v)[:, 0], np.zeros(groups)
+    w = np.ones((groups, m)) if weights is None else np.asarray(weights, dtype=float)
+    normal = -(np.swapaxes(r, 1, 2) * w[:, None, :]) @ r           # -sum w r r^T
+    diagonal = np.arange(3)
+    normal[:, diagonal, diagonal] += ((1.0 + _RIDGE) * w.sum(axis=1))[:, None]
+    rhs = np.einsum("gm,gmi->gi", w, perpendicular(v))
+    t = -np.linalg.solve(normal, rhs[..., None])[..., 0]
+    v += t[:, None, :]
+    e = perpendicular(v)
+    return t, np.sqrt(np.einsum("gm,gmi,gmi->g", w, e, e))
+
+
 def _solve_pairs(frame: MatchingFrame, i: np.ndarray, j: np.ndarray):
     """Closed-form 2-point solve of the pairs ``(i[p], j[p])`` in one array pass.
 
     The yaw roots come from each pair's TIM (:func:`pair_tims`) through
-    ``asin``; t then solves the pair's four stacked ray rows ``basis @ t =
-    rhs`` by batched 3x3 normal equations.  Pairs with parallel rays (a
-    rank-deficient translation block), without a horizontal baseline
-    (yaw-unobservable or inconsistent) or whose TIM has no root yield no
-    candidate.  Returns ``(pair, yaw, t)`` with one entry per candidate, in
-    (pair, root) order.
+    ``asin``; t then fits both rays at each root (:func:`fit_translations`).
+    Pairs with parallel rays (a rank-deficient translation block), without a
+    horizontal baseline (yaw-unobservable or inconsistent) or whose TIM has
+    no root yield no candidate.  Returns ``(pair, yaw, t)`` with one entry
+    per candidate, in (pair, root) order.
     """
     delta = frame.points[i] - frame.points[j]
     m, d1, d2, d3 = pair_tims(frame.rays[i], frame.rays[j], delta,
@@ -243,12 +274,7 @@ def _solve_pairs(frame: MatchingFrame, i: np.ndarray, j: np.ndarray):
     distinct = np.abs(_wrap_angles(roots[:, 0] - roots[:, 1])) >= 1e-12
     pair, root = np.nonzero(np.stack([ok, ok & distinct], axis=1))  # (pair, root) order
     yaw = roots[pair, root]
-    a, b = i[pair], j[pair]
-    m_rows = np.concatenate([frame.basis[a], frame.basis[b]], axis=1)   # (c, 4, 3)
-    cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
-    rhs = np.concatenate([frame.rhs(a, cos, sin), frame.rhs(b, cos, sin)], axis=1)
-    m_t = np.swapaxes(m_rows, 1, 2)                                     # (c, 3, 4)
-    t = np.linalg.solve(m_t @ m_rows, (m_t @ rhs[:, :, None]))[:, :, 0]
+    t, _ = fit_translations(frame, np.column_stack([i[pair], j[pair]]), yaw)
     return pair, yaw, t
 
 
@@ -308,21 +334,14 @@ class _Verifier:
 
 def refine_yaw_pose(frame: MatchingFrame, indices, yaw0: float, t0) -> YawPose:
     """Nonlinear least-squares polish of (yaw, t) over pixel residuals."""
-    idx = np.asarray(indices, dtype=int)
-    points, pixels = frame.points[idx], frame.pixels[idx]
-    rot_cs, t_cs = frame.cam_rotation[idx], frame.cam_translation[idx]
-    f, c0 = frame.intrinsics[idx, :2], frame.intrinsics[idx, 2:]
+    members = frame.subset(np.asarray(indices, dtype=int))
+    f, c0 = members.intrinsics[:, :2], members.intrinsics[:, 2:]
 
     def residuals(x):
-        yaw, t = x[0], x[1:]
-        rot = np.array([[math.cos(yaw), -math.sin(yaw), 0.0],
-                        [math.sin(yaw), math.cos(yaw), 0.0],
-                        [0.0, 0.0, 1.0]])
-        solved = points @ rot.T + t
-        p_cam = np.einsum("nij,nj->ni", rot_cs, solved) + t_cs
+        p_cam = members.camera_points(x[0], x[1:])
         z = np.clip(p_cam[:, 2], _MIN_DEPTH, None)
         pix = f * p_cam[:, :2] / z[:, None] + c0
-        return (pix - pixels).ravel()
+        return (pix - members.pixels).ravel()
 
     sol = least_squares(residuals, np.array([yaw0, *np.asarray(t0, dtype=float)]),
                         method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)

@@ -19,6 +19,7 @@ from mapvins.initializer import (
     vote_yaw,
     _arc_counts,
     _provisional_depths,
+    _well_conditioned,
     _yaw_grid,
 )
 from mapvins.sim import make_matching_problem
@@ -339,7 +340,33 @@ class TestSolveTranslation:
             points.append(rng.uniform([-20, -20, 2], [20, 20, 30]))
         frame = exact_frame(points, rays=rays)
         _, clique = solve_translation(frame, [0, 1, 2, 3], 0.0, 1e-9)
-        assert len(clique) == 1
+        assert clique == [0]  # four one-match cliques fit exactly: the first wins
+
+    def test_single_match_lies_on_its_ray(self):
+        frame, truth, _ = aligned_problem(3, 1.0, 0.0, seed=6)
+        t_hat, clique = solve_translation(frame, [2], truth.yaw, 1.0)
+        assert clique == [2]
+        x = YawPose(truth.yaw, t_hat).apply(frame.points[2])
+        assert np.linalg.norm(np.cross(x, frame.rays[2])) < 1e-9
+        assert abs(t_hat @ frame.rays[2]) < 1e-9  # min norm: nothing along the ray
+
+    def test_conditioning_rule_matches_eigenvalues(self):
+        # random rays, plus pairs at angles around the 1 - |c| = 2e-4 edge
+        # (0.02 rad) and antiparallel ones
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(4000, 3))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        side = np.cross(a, rng.normal(size=(4000, 3)))
+        side /= np.linalg.norm(side, axis=1, keepdims=True)
+        angle = np.concatenate([rng.uniform(0.0, math.pi, 1000),
+                                rng.uniform(0.015, 0.025, 2000),
+                                math.pi - rng.uniform(0.015, 0.025, 1000)])
+        b = np.cos(angle)[:, None] * a + np.sin(angle)[:, None] * side
+        normal = 2.0 * np.eye(3) - a[:, :, None] * a[:, None, :] - b[:, :, None] * b[:, None, :]
+        eig = np.linalg.eigvalsh(normal)
+        expected = eig[:, 0] > 1e-4 * eig[:, -1]
+        np.testing.assert_array_equal(_well_conditioned(a, b), expected)
+        assert 0 < expected[1000:].sum() < 3000
 
     def test_empty_input(self):
         frame, *_ = aligned_problem(5, 1.0, 0.0, seed=6)

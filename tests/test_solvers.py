@@ -10,6 +10,7 @@ from mapvins.solvers import (
     MatchingFailureError,
     RansacConfig,
     align_correspondences,
+    fit_translations,
     ransac_matching_frame,
     ransac_pose,
     ransac_success_probability,
@@ -17,7 +18,13 @@ from mapvins.solvers import (
     _Verifier,
 )
 
-from two_point_oracle import DegenerateSampleError, exact_frame, rig_event, solve_2pt
+from two_point_oracle import (
+    DegenerateSampleError,
+    basis_fit,
+    exact_frame,
+    rig_event,
+    solve_2pt,
+)
 
 
 def kernel(frame, pairs):
@@ -169,6 +176,102 @@ class TestSolveTwoPoint:
             except DegenerateSampleError:
                 pass
         assert assert_matches_oracle(frame, pairs, yaw, t, pair) > len(special_pairs)
+
+
+def noisy_frame(n, seed, centers=False):
+    """Rays through exact points at a random pose, then tilted by ~1e-3 rad."""
+    rng = np.random.default_rng(seed)
+    truth = YawPose(rng.uniform(-math.pi, math.pi), rng.normal(0.0, 2.0, 3))
+    points = rng.uniform([-4, -4, 3], [4, 4, 12], size=(n, 3))
+    c = rng.normal(0.0, 0.3, (n, 3)) if centers else np.zeros((n, 3))
+    x = np.array([truth.apply(p) for p in points]) - c + rng.normal(0.0, 0.01, (n, 3))
+    return exact_frame(points, centers=c, rays=x / np.linalg.norm(x, axis=1, keepdims=True)), truth
+
+
+class TestFitTranslations:
+    """The ray-distance kernel against the ray-basis rows it replaced."""
+
+    def test_exact_pairs_recover_truth(self):
+        rng = np.random.default_rng(4)
+        truth = YawPose(0.7, np.array([1.0, -2.0, 0.5]))
+        centers = rng.normal(0.0, 0.3, (12, 3))
+        for c in (None, centers):  # one camera, then rig centres
+            frame = exact_frame(rng.uniform([-4, -4, 3], [4, 4, 12], size=(12, 3)), truth,
+                                centers=c)
+            pairs = np.array([(k, k + 1) for k in range(0, 12, 2)])
+            t, rss = fit_translations(frame, pairs, truth.yaw)
+            assert np.abs(t - truth.translation).max() < 1e-9
+            assert rss.max() < 1e-9
+            for p, (i, j) in enumerate(pairs):
+                t_old, _ = basis_fit(frame, [i, j], truth.yaw, normal_equations=True)
+                assert np.abs(t[p] - t_old).max() < 1e-9
+
+    def test_weighted_groups_match_basis_rows(self):
+        # noisy rays, rig centres, per-group yaw and per-match weights: the
+        # 4x3 normal equations (pairs) and lstsq (groups of 5)
+        frame, truth = noisy_frame(40, 5, centers=True)
+        rng = np.random.default_rng(6)
+        for m, normal in ((2, True), (5, False)):
+            members = np.array([rng.choice(40, m, replace=False) for _ in range(30)])
+            yaws = truth.yaw + rng.normal(0.0, 0.01, 30)
+            w = rng.uniform(100.0, 1e4, (30, m))
+            t, rss = fit_translations(frame, members, yaws, w)
+            for g in range(30):
+                t_old, rss_old = basis_fit(frame, members[g], yaws[g], w[g],
+                                           normal_equations=normal)
+                assert np.abs(t[g] - t_old).max() < 1e-9 * (1.0 + np.abs(t_old).max())
+                assert rss[g] == pytest.approx(rss_old, rel=1e-9, abs=1e-9)
+
+    def test_tied_clique_batch_equals_one_call_per_clique(self):
+        frame, truth = noisy_frame(30, 7)
+        cliques = np.array([[0, 3, 5, 8], [1, 3, 5, 9], [2, 4, 6, 8], [0, 1, 2, 3]])
+        w = np.random.default_rng(8).uniform(1e3, 1e4, 30)
+        t, rss = fit_translations(frame, cliques, truth.yaw, w[cliques])
+        for g, clique in enumerate(cliques):
+            t_one, rss_one = fit_translations(frame, clique[None, :], truth.yaw,
+                                              w[clique][None, :])
+            np.testing.assert_array_equal(t[g], t_one[0])
+            assert rss[g] == rss_one[0]
+            t_old, rss_old = basis_fit(frame, clique, truth.yaw, w[clique])
+            assert np.abs(t[g] - t_old).max() < 1e-9
+            assert rss[g] == pytest.approx(rss_old, rel=1e-9)
+
+    def test_single_match_gets_minimum_norm(self):
+        frame, truth = noisy_frame(6, 9, centers=True)
+        t, rss = fit_translations(frame, np.arange(6)[:, None], truth.yaw)
+        np.testing.assert_array_equal(rss, 0.0)
+        for k in range(6):
+            t_old, rss_old = basis_fit(frame, [k], truth.yaw)
+            assert rss_old < 1e-12
+            assert np.abs(t[k] - t_old).max() < 1e-12
+            assert abs(t[k] @ frame.rays[k]) < 1e-12  # no part along the ray
+
+    def test_parallel_rays(self):
+        # exactly parallel (one axis-aligned, where the unregularized normal
+        # matrix is exactly singular): t is free along the ray, the part
+        # across it and the residual are the minimum-norm fit's
+        ray = np.array([0.0, 0.0, 1.0])
+        tilted = np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0])
+        for r in (ray, tilted):
+            frame = exact_frame([[1.0, 2.0, 5.0], [1.5, 1.0, 9.0]], rays=[r, r])
+            t, rss = fit_translations(frame, [[0, 1]], 0.4)
+            t_old, rss_old = basis_fit(frame, [0, 1], 0.4)
+            across = np.eye(3) - np.outer(r, r)
+            assert np.all(np.isfinite(t))
+            assert np.abs(across @ (t[0] - t_old)).max() < 1e-9
+            assert rss[0] == pytest.approx(rss_old, rel=1e-9)
+
+    def test_near_parallel_rays(self):
+        # 1e-3 rad apart: the normal matrix's small eigenvalue is 5e-7
+        frame, truth = noisy_frame(2, 10)
+        r0 = frame.rays[0]
+        side = np.cross(r0, [0.0, 0.0, 1.0])
+        r1 = r0 + 1e-3 * side / np.linalg.norm(side)
+        frame = exact_frame(frame.points, rays=[r0, r1 / np.linalg.norm(r1)])
+        t, rss = fit_translations(frame, [[0, 1]], truth.yaw)
+        t_old, rss_old = basis_fit(frame, [0, 1], truth.yaw)
+        assert np.abs(t[0] - t_old).max() < 1e-6 * (1.0 + np.abs(t_old).max())
+        assert rss[0] == pytest.approx(rss_old, rel=1e-6, abs=1e-9)
 
 
 class TestVerifier:

@@ -1,11 +1,15 @@
-"""Test helpers: array MatchingFrames and the SVD reference 2-point solver.
+"""Test helpers: array MatchingFrames, the SVD reference 2-point solver and
+the ray-basis translation fit.
 
 The reference solver is the readable form of the pair geometry that
 ``mapvins.solvers`` computes in batches.  Match k gives two rows of
-``basis_k (R(alpha) F_k + t - c_k) = 0``; the left null vector of a pair's
-4x3 translation block (from an SVD) eliminates t and leaves the pair's TIM
+``basis_k (R(alpha) F_k + t - c_k) = 0``, with ``basis_k`` two orthonormal
+rows orthogonal to its ray; the left null vector of a pair's 4x3
+translation block (from an SVD) eliminates t and leaves the pair's TIM
 ``d1 sin(alpha) + d2 cos(alpha) + d3``, whose roots back-substitute into a
-least-squares solve for t.  Production code never calls it.
+least-squares solve for t.  :func:`basis_fit` solves the same stacked rows
+for any group of matches, by normal equations or by ``lstsq``, the way the
+translation stages once did.  Production code never calls any of this.
 """
 
 import math
@@ -121,13 +125,6 @@ def tim_coefficients(frame: MatchingFrame, i: int, j: int):
     return d1, d2, d3, (trans_mat, cos_coef, sin_coef, const, rank_ok, scale)
 
 
-def _solve_translation_for_yaw(system, alpha: float) -> np.ndarray:
-    trans_mat, cos_coef, sin_coef, const, _, _ = system
-    rhs = -(cos_coef * math.cos(alpha) + sin_coef * math.sin(alpha) + const)
-    t, *_ = np.linalg.lstsq(trans_mat, rhs, rcond=None)
-    return t
-
-
 def _yaw_roots(d1: float, d2: float, d3: float):
     """Roots of d1 sin + d2 cos + d3 = 0 (caller checks degeneracy first)."""
     amp = math.hypot(d1, d2)
@@ -163,6 +160,29 @@ def solve_2pt(frame: MatchingFrame, i: int, j: int) -> list[SolverCandidate]:
     roots = _yaw_roots(d1, d2, d3)
     if roots is None:
         return []  # inconsistent: no yaw satisfies the pair
-    return [SolverCandidate(YawPose(alpha, _solve_translation_for_yaw(system, alpha)),
-                            (i, j))
+    return [SolverCandidate(YawPose(alpha, basis_fit(frame, [i, j], alpha)[0]), (i, j))
             for alpha in roots]
+
+
+def basis_fit(frame: MatchingFrame, members, yaw: float, weights=None,
+              normal_equations: bool = False):
+    """Translation of one group of matches from their stacked ray-basis rows.
+
+    Member k contributes ``sqrt(w_k) basis_k t = -sqrt(w_k) basis_k
+    (R(yaw) F_k - c_k)``.  The (2m, 3) stack is solved by its 3x3 normal
+    equations or, by default, by ``lstsq`` (the minimum-norm t when the rays
+    leave t underdetermined).  Returns t and the residual norm of the stack.
+    """
+    weights = np.ones(len(members)) if weights is None else weights
+    rows, rhs = [], []
+    for k, w in zip(members, weights):
+        cos_coef, sin_coef, basis, const = _linear_rows(frame, k)
+        scale = math.sqrt(w)
+        rows.append(scale * basis)
+        rhs.append(-scale * (cos_coef * math.cos(yaw) + sin_coef * math.sin(yaw) + const))
+    a, b = np.vstack(rows), np.concatenate(rhs)
+    if normal_equations:
+        t = np.linalg.solve(a.T @ a, a.T @ b)
+    else:
+        t = np.linalg.lstsq(a, b, rcond=None)[0]
+    return t, float(np.linalg.norm(a @ t - b))
