@@ -7,9 +7,13 @@ interval stabbing in O(K + grid), with per-constraint slack covering the grid
 spacing so no true inlier can be missed, and the count exact at every grid
 point), then solve the 3DoF translation by exact maximum-clique search over a
 pairwise compatibility graph, and finally polish with nonlinear least squares
-on the surviving inliers.  Every translation solve of the last stages (the
-provisional pair solves, the pair compatibility test, the tied cliques) is
-one batched call of :func:`mapvins.solvers.fit_translations`.
+on the surviving inliers.  The translation stage works on the pairs in
+closed form: at fixed yaw each match confines t to a line, a pair's
+compatibility residual is the distance between its two lines, read off the
+pair's TIM, and its provisional translation is the midpoint of their common
+perpendicular.  The clique search runs on Python-int bitsets, and the tied
+cliques and a single match are one batched call of
+:func:`mapvins.solvers.fit_translations`.
 
 Every stage is a pure deterministic function of its inputs: repeated calls
 return bit-identical results, which is the property that distinguishes this
@@ -34,12 +38,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from mapvins.cameras import CameraModel
-from mapvins.geometry import Rotation, YawPose, wrap_angle
+from mapvins.geometry import Rotation, YawPose, wrap_angle, yaw_rotation
 from mapvins.sim import Correspondence
 from mapvins.solvers import (
     MatchingFrame,
@@ -48,6 +52,11 @@ from mapvins.solvers import (
     pair_tims,
     refine_yaw_pose,
 )
+
+
+# TIM rows per pass of the pair-wise stages, so that their temporaries stay a
+# few MB whatever the number of pairs
+_PAIR_BLOCK = 1 << 14
 
 
 class InitializationError(RuntimeError):
@@ -85,7 +94,8 @@ class TimArrays:
     """All translation-invariant yaw constraints of a frame, one row per pair.
 
     Row k ties matches ``i[k] < j[k]``: yaw alpha is consistent with the pair
-    when ``|d1 sin(alpha) + d2 cos(alpha) + d3| <= bound``.
+    when ``|d1 sin(alpha) + d2 cos(alpha) + d3| <= bound``.  ``sin_angle``
+    is ``|r_i x r_j|``, the norm of the pair normal the TIM is measured on.
     """
 
     i: np.ndarray
@@ -94,6 +104,7 @@ class TimArrays:
     d2: np.ndarray
     d3: np.ndarray
     bound: np.ndarray
+    sin_angle: np.ndarray
 
     def __len__(self) -> int:
         return len(self.d1)
@@ -101,6 +112,12 @@ class TimArrays:
     def values(self, alpha: float) -> np.ndarray:
         """d(alpha) of every constraint."""
         return self.d1 * math.sin(alpha) + self.d2 * math.cos(alpha) + self.d3
+
+    def blocks(self):
+        """The rows as consecutive views of at most ``_PAIR_BLOCK`` rows."""
+        for lo in range(0, len(self), _PAIR_BLOCK):
+            block = slice(lo, lo + _PAIR_BLOCK)
+            yield TimArrays(*(getattr(self, f.name)[block] for f in fields(self)))
 
 
 def build_tims(frame: MatchingFrame, sigma_px: float = 1.0,
@@ -115,10 +132,21 @@ def build_tims(frame: MatchingFrame, sigma_px: float = 1.0,
     jac = 1.0 / (np.minimum(intr[:, 0], intr[:, 1]) * np.linalg.norm(v, axis=1))
 
     ii, jj = np.triu_indices(n, k=1)
+    rows = np.empty((5, len(ii)))       # d1, d2, d3, bound, sin_angle
+    for lo in range(0, len(ii), _PAIR_BLOCK):
+        block = slice(lo, lo + _PAIR_BLOCK)
+        rows[:, block] = _tim_rows(frame, jac, ii[block], jj[block],
+                                   bound_scale * sigma_px)
+    return TimArrays(ii, jj, *rows)
+
+
+def _tim_rows(frame: MatchingFrame, jac: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+              scale: float):
+    """d1, d2, d3, noise bound and sin_angle of the pairs ``(ii[k], jj[k])``."""
     ray_i, ray_j = frame.rays[ii], frame.rays[jj]
     delta = frame.points[ii] - frame.points[jj]
     center_delta = frame.centers[ii] - frame.centers[jj]
-    _, d1, d2, d3 = pair_tims(ray_i, ray_j, delta, center_delta)
+    normal, d1, d2, d3 = pair_tims(ray_i, ray_j, delta, center_delta)
 
     # d depends on each ray through (other_ray x w(alpha)), w(alpha) =
     # R(alpha) delta - (c_i - c_j); bound the dual vector norm over alpha by
@@ -130,8 +158,8 @@ def build_tims(frame: MatchingFrame, sigma_px: float = 1.0,
     g_j = np.linalg.norm(np.cross(ray_i, w0), axis=1) + rho
     sensitivity = np.sqrt((g_i * jac[ii]) ** 2 + (g_j * jac[jj]) ** 2)
     floor = 1e-9 * (1.0 + np.linalg.norm(delta, axis=1))
-    bounds = bound_scale * sigma_px * math.sqrt(2.0) * sensitivity + floor
-    return TimArrays(ii, jj, d1, d2, d3, bounds)
+    bounds = scale * math.sqrt(2.0) * sensitivity + floor
+    return d1, d2, d3, bounds, np.sqrt(np.einsum("kj,kj->k", normal, normal))
 
 
 def _yaw_grid(n_points: int, fine: float) -> np.ndarray:
@@ -225,7 +253,8 @@ def vote_yaw(tims: TimArrays, step: float,
     feasible yaw lies between two grid points is never missed.  Every grid
     count is exact (see :func:`_arc_counts`).  Returns the yaw with the
     largest count and that count; ties go to the smallest |a_k|, then to the
-    smallest a_k.  Deterministic, O(K + M) in time and memory.
+    smallest a_k.  Deterministic; each block of ``_PAIR_BLOCK`` constraints
+    costs O(block + M) in time and memory.
     """
     if step <= 0:
         raise ValueError("grid step must be positive")
@@ -234,8 +263,12 @@ def vote_yaw(tims: TimArrays, step: float,
     n_cells = max(8, int(math.ceil(2.0 * math.pi / step)))
     fine = 2.0 * math.pi / n_cells / refine_factor
     n_points = n_cells * refine_factor
-    slack = tims.bound + np.hypot(tims.d1, tims.d2) * (fine / 2.0)
-    counts = _arc_counts(tims.d1, tims.d2, tims.d3, slack, n_points, fine)
+
+    def block_counts(part: TimArrays) -> np.ndarray:
+        slack = part.bound + np.hypot(part.d1, part.d2) * (fine / 2.0)
+        return _arc_counts(part.d1, part.d2, part.d3, slack, n_points, fine)
+
+    counts = sum(map(block_counts, tims.blocks()))    # counts add up over constraints
     tied = np.flatnonzero(counts == counts.max())
     best = int(tied[np.argmin(np.abs(2 * tied - n_points))])
     return float((best - n_points / 2.0) * fine), int(counts[best])
@@ -270,64 +303,126 @@ def _pixel_weights(frame: MatchingFrame, idx, depths: np.ndarray) -> np.ndarray:
     return (0.5 * (frame.intrinsics[idx, 0] + frame.intrinsics[idx, 1]) / depths) ** 2
 
 
-def compatibility_graph(frame: MatchingFrame, idx, alpha: float,
+def _translation_lines(frame: MatchingFrame, idx, alpha: float) -> np.ndarray:
+    """Base point ``a_k = c_k - R(alpha) F_k`` of each match's line of translations.
+
+    At yaw alpha, match k's point lies on its ray for exactly the
+    translations ``t = a_k + lambda r_k``.
+    """
+    return frame.centers[idx] - frame.points[idx] @ yaw_rotation(alpha).as_matrix().T
+
+
+def _subset_pairs(frame: MatchingFrame, tims: TimArrays, idx: np.ndarray):
+    """The TIM rows whose two matches are both in ``idx``, and their positions there."""
+    pos = np.full(len(frame), -1)
+    pos[idx] = np.arange(len(idx))
+    ii, jj = pos[tims.i], pos[tims.j]
+    rows = np.flatnonzero((ii >= 0) & (jj >= 0))
+    return rows, ii[rows], jj[rows]
+
+
+def _pair_residuals(frame: MatchingFrame, tims: TimArrays, idx: np.ndarray,
+                    alpha: float, weights: np.ndarray):
+    """Smallest weighted ray-distance residual of the pairs of ``idx`` in ``tims``.
+
+    Pair (i, j) minimizes ``w_i |e_i|^2 + w_j |e_j|^2`` over t (the pair
+    case of :func:`mapvins.solvers.fit_translations`) at
+    ``sqrt(w_i w_j / (w_i + w_j)) D``, D the distance between the two lines
+    of translations (:func:`_translation_lines`): the residuals of any t add
+    up to at least D, and the common perpendicular reaches that.  D is
+    ``|d(alpha)| / |r_i x r_j|``, read off the pair's TIM row; exactly
+    parallel rays are ``|(I - r r^T)(a_i - a_j)|`` apart.  Returns the
+    positions ``ii``, ``jj`` in ``idx`` of each pair and its residual.
+    """
+    rows, ii, jj = _subset_pairs(frame, tims, idx)
+    sin_angle = tims.sin_angle[rows]
+    parallel = sin_angle == 0.0
+    dist = (np.abs(tims.d1[rows] * math.sin(alpha) + tims.d2[rows] * math.cos(alpha)
+                   + tims.d3[rows]) / np.where(parallel, 1.0, sin_angle))
+    parallel = np.flatnonzero(parallel)
+    if len(parallel):
+        base = _translation_lines(frame, idx, alpha)
+        gap = base[ii[parallel]] - base[jj[parallel]]
+        ray = frame.rays[idx[ii[parallel]]]
+        gap -= ray * np.einsum("pi,pi->p", ray, gap)[:, None]
+        dist[parallel] = np.linalg.norm(gap, axis=1)
+    w_i, w_j = weights[ii], weights[jj]
+    return ii, jj, np.sqrt(w_i * w_j / (w_i + w_j)) * dist
+
+
+def compatibility_graph(frame: MatchingFrame, tims: TimArrays, idx, alpha: float,
                         depths: np.ndarray, bounds_px: np.ndarray,
                         slack_px: float) -> np.ndarray:
     """Boolean adjacency over ``idx`` for the translation consensus stage.
 
     A pair is compatible when the residual of its joint translation fit,
-    with ray distances weighted into pixels by f/depth
-    (:func:`mapvins.solvers.fit_translations`), stays within the stacked
-    pixel bounds.  If a common translation satisfying both cones exists, the
-    minimum weighted residual cannot exceed sqrt(b_i^2 + b_j^2) up to
-    perspective linearization error, which a factor of 1.5 and ``slack_px``
-    cover; this keeps true inlier pairs adjacent (recall safety).  Near-parallel
-    (ill-conditioned) pairs come out with small residuals and are adjacent,
-    which matches the geometry: their feasible translation set is huge.
+    with ray distances weighted into pixels by f/depth, stays within the
+    stacked pixel bounds.  The residual is closed-form from the pair's TIM
+    (:func:`_pair_residuals`), so the graph is elementwise over the TIM rows
+    of ``tims``, taken ``_PAIR_BLOCK`` at a time.  If a common translation
+    satisfying both cones exists, the minimum weighted residual cannot
+    exceed sqrt(b_i^2 + b_j^2) up to perspective linearization error, which
+    a factor of 1.5 and ``slack_px`` cover; this keeps true inlier pairs
+    adjacent (recall safety).  Near-parallel pairs come out with small
+    residuals and are adjacent, which matches the geometry: their feasible
+    translation set is huge.
     """
     idx = np.asarray(idx, dtype=int)
     m = len(idx)
     adjacency = np.zeros((m, m), dtype=bool)
     if m < 2:
         return adjacency
-    ii, jj = np.triu_indices(m, k=1)
     w = _pixel_weights(frame, idx, depths)
-    _, rss = fit_translations(frame, np.column_stack([idx[ii], idx[jj]]), alpha,
-                              np.column_stack([w[ii], w[jj]]))
-    ok = rss <= 1.5 * np.hypot(bounds_px[ii], bounds_px[jj]) + slack_px
-    adjacency[ii[ok], jj[ok]] = True
+    for part in tims.blocks():
+        ii, jj, rss = _pair_residuals(frame, part, idx, alpha, w)
+        ok = rss <= 1.5 * np.hypot(bounds_px[ii], bounds_px[jj]) + slack_px
+        adjacency[ii[ok], jj[ok]] = True
     adjacency |= adjacency.T
     return adjacency
 
 
 def max_cliques(adjacency: np.ndarray, cap: int = 512) -> list[list[int]]:
-    """All maximum cliques (up to ``cap`` ties) via branch and bound.
+    """All maximum cliques (up to ``cap`` ties) via branch and bound on bitsets.
 
-    Greedy-coloring bounds prune the search; ties at the maximum size are
-    collected so the caller can break them on model quality.  Deterministic:
-    vertices are processed in a fixed degeneracy-style order.
+    Adjacency rows and greedy colour classes are Python ints, bit u standing
+    for vertex u (San Segundo, Rodriguez-Losada, Jimenez, Computers & OR
+    2011).  Greedy-colouring bounds prune the search; ties at the maximum
+    size are collected so the caller can break them on model quality.
+    Deterministic: the search starts from the vertices by degree,
+    descending, then by index; each branch colours its candidates in their
+    given order and expands them by colour, then index, from the last.
     """
     n = len(adjacency)
     if n == 0:
         return [[]]
-    adj = [set(np.flatnonzero(adjacency[v])) - {v} for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    graph = np.array(adjacency, dtype=bool)
+    np.fill_diagonal(graph, False)
+    adj = [int.from_bytes(row.tobytes(), "little")
+           for row in np.packbits(graph, axis=1, bitorder="little")]
+    degree = graph.sum(axis=1)
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
     best_size = 0
     found: list[list[int]] = []
 
-    def greedy_color(cands: list[int]) -> dict[int, int]:
-        colors: list[set[int]] = []
-        assigned = {}
+    def colour_sort(cands: list[int]) -> tuple[list[int], list[int]]:
+        """Greedy colouring in ``cands`` order: vertices by (colour, index), colours."""
+        classes: list[int] = []
         for v in cands:
-            for ci, cls in enumerate(colors):
-                if not (adj[v] & cls):
-                    cls.add(v)
-                    assigned[v] = ci + 1
+            neighbours = adj[v]
+            for ci, cls in enumerate(classes):
+                if not neighbours & cls:
+                    classes[ci] = cls | 1 << v
                     break
             else:
-                colors.append({v})
-                assigned[v] = len(colors)
-        return assigned
+                classes.append(1 << v)
+        ordered, colours = [], []
+        for colour, cls in enumerate(classes, 1):
+            while cls:
+                low = cls & -cls
+                ordered.append(low.bit_length() - 1)
+                colours.append(colour)
+                cls ^= low
+        return ordered, colours
 
     def expand(clique: list[int], cands: list[int]):
         nonlocal best_size, found
@@ -338,43 +433,42 @@ def max_cliques(adjacency: np.ndarray, cap: int = 512) -> list[list[int]]:
             elif len(clique) == best_size and len(found) < cap:
                 found.append(sorted(clique))
             return
-        color_of = greedy_color(cands)
-        cands = sorted(cands, key=lambda v: (color_of[v], v))
+        cands, colours = colour_sort(cands)
         while cands:
-            v = cands[-1]
-            reach = len(clique) + color_of[v]
+            reach = len(clique) + colours.pop()
             if reach < best_size or (reach == best_size and len(found) >= cap):
                 return
-            cands = cands[:-1]
-            expand(clique + [v], [u for u in cands if u in adj[v]])
+            v = cands.pop()
+            neighbours = adj[v]
+            expand(clique + [v], [u for u in cands if neighbours >> u & 1])
 
     expand([], order)
     return found
 
 
-def solve_translation(frame: MatchingFrame, indices, alpha: float,
+def solve_translation(frame: MatchingFrame, tims: TimArrays, indices, alpha: float,
                       bound_px: float, slack_px: float = 0.0,
                       depths: np.ndarray | None = None
                       ) -> tuple[np.ndarray, list[int]]:
     """Consensus translation at fixed yaw via exact maximum-clique search.
 
     Two correspondences are adjacent iff a common translation can satisfy
-    both of their reprojection bounds (see :func:`compatibility_graph`); the
-    returned inlier set is a maximum clique of that graph, and the
-    translation is the weighted least-squares fit over the clique.  Tied
-    cliques all have the maximum size, so one batched fit scores them; the
-    smallest residual wins, then the first clique in sorted order.
-    ``depths`` weight residuals into pixel units; when absent, a provisional
-    translation (coordinate-wise median of well-conditioned pair solutions)
-    supplies them.  A single match gets the minimum-norm translation onto
-    its ray.
+    both of their reprojection bounds (see :func:`compatibility_graph`,
+    which reads the pairs' TIM rows from ``tims``); the returned inlier set
+    is a maximum clique of that graph, and the translation is the weighted
+    least-squares fit over the clique.  Tied cliques all have the maximum
+    size, so one batched fit scores them; the smallest residual wins, then
+    the first clique in sorted order.  ``depths`` weight residuals into
+    pixel units; when absent, a provisional translation (coordinate-wise
+    median of well-conditioned pair solutions) supplies them.  A single
+    match gets the minimum-norm translation onto its ray.
     """
     idx = np.asarray(list(indices), dtype=int)
     if len(idx) == 0:
         raise InitializationError("empty correspondence set for translation")
     if depths is None:
-        depths = _median_pair_depths(frame, idx, alpha)
-    adjacency = compatibility_graph(frame, idx, alpha, depths,
+        depths = _median_pair_depths(frame, tims, idx, alpha)
+    adjacency = compatibility_graph(frame, tims, idx, alpha, depths,
                                     np.full(len(idx), bound_px), slack_px)
     cliques = np.array(max_cliques(adjacency))          # (ties, clique size)
     w = _pixel_weights(frame, idx, depths)
@@ -383,26 +477,51 @@ def solve_translation(frame: MatchingFrame, indices, alpha: float,
     return ts[best], idx[cliques[best]].tolist()
 
 
-def _well_conditioned(rays_i: np.ndarray, rays_j: np.ndarray) -> np.ndarray:
-    """Pairs of unit rays whose translation fit is well conditioned.
+def _well_conditioned(cos: np.ndarray) -> np.ndarray:
+    """Pairs whose translation fit is well conditioned, from their ray cosines.
 
     A pair's normal matrix ``2I - r_i r_i^T - r_j r_j^T`` has eigenvalues 2
     and 1 -+ |r_i . r_j|: the smallest is above 1e-4 times the largest iff
     ``1 - |r_i . r_j| > 2e-4``.
     """
-    return 1.0 - np.abs(np.einsum("pi,pi->p", rays_i, rays_j)) > 2e-4
+    return 1.0 - np.abs(cos) > 2e-4
 
 
-def _median_pair_depths(frame: MatchingFrame, idx: np.ndarray, alpha: float) -> np.ndarray:
+def _pair_midpoints(frame: MatchingFrame, tims: TimArrays, idx: np.ndarray,
+                    alpha: float) -> np.ndarray:
+    """Unweighted translations of the well-conditioned pairs of ``idx`` in ``tims``.
+
+    A pair's unweighted fit (:func:`mapvins.solvers.fit_translations`) is
+    the midpoint of the common perpendicular of its two lines of
+    translations (:func:`_translation_lines`).  With ``g = a_i - a_j`` and
+    ``c = r_i . r_j``, the feet are ``a_i + s r_i`` and ``a_j + u r_j``, where
+    ``s = (c (r_j . g) - r_i . g) / (1 - c^2)`` and
+    ``u = (r_j . g - c (r_i . g)) / (1 - c^2)``: three dot products per
+    pair.  Returns (pairs, 3).
+    """
+    _, ii, jj = _subset_pairs(frame, tims, idx)
+    rays = frame.rays[idx]
+    ray_i, ray_j = np.take(rays, ii, axis=0), np.take(rays, jj, axis=0)
+    cos = np.einsum("pi,pi->p", ray_i, ray_j)
+    good = np.flatnonzero(_well_conditioned(cos))
+    ii, jj, cos = ii[good], jj[good], cos[good]
+    ray_i, ray_j = np.take(ray_i, good, axis=0), np.take(ray_j, good, axis=0)
+    base = _translation_lines(frame, idx, alpha)
+    base_i, base_j = np.take(base, ii, axis=0), np.take(base, jj, axis=0)
+    gap = base_i - base_j
+    along_i = np.einsum("pi,pi->p", ray_i, gap)
+    along_j = np.einsum("pi,pi->p", ray_j, gap)
+    sine2 = (1.0 - cos) * (1.0 + cos)
+    s = (cos * along_j - along_i) / sine2
+    u = (along_j - cos * along_i) / sine2
+    return 0.5 * (base_i + base_j + s[:, None] * ray_i + u[:, None] * ray_j)
+
+
+def _median_pair_depths(frame: MatchingFrame, tims: TimArrays, idx: np.ndarray,
+                        alpha: float) -> np.ndarray:
     """Provisional depths from the median of well-conditioned pair solves."""
-    ii, jj = np.triu_indices(len(idx), k=1)
-    good = _well_conditioned(frame.rays[idx[ii]], frame.rays[idx[jj]])
-    if good.any():
-        ts, _ = fit_translations(frame, np.column_stack([idx[ii[good]], idx[jj[good]]]),
-                                 alpha)
-        t_prov = np.median(ts, axis=0)
-    else:
-        t_prov = np.zeros(3)
+    ts = np.concatenate([_pair_midpoints(frame, part, idx, alpha) for part in tims.blocks()])
+    t_prov = np.median(ts, axis=0) if len(ts) else np.zeros(3)
     return _provisional_depths(frame, idx, alpha, t_prov)
 
 
@@ -430,7 +549,7 @@ def initialize_frame(frame: MatchingFrame, config: InitConfig | None = None) -> 
     # round 1: generous slack absorbs the residual yaw-estimate error, the
     # polish on the resulting clique then pins yaw accurately
     bound = config.translation_bound()
-    t_1, clique_1 = solve_translation(frame, kept_idx, alpha_ls, bound,
+    t_1, clique_1 = solve_translation(frame, tims, kept_idx, alpha_ls, bound,
                                       slack_px=3.0 * config.sigma_px)
     alpha_2, t_2 = alpha_ls, t_1
     if config.polish and len(clique_1) >= 2:
@@ -438,7 +557,7 @@ def initialize_frame(frame: MatchingFrame, config: InitConfig | None = None) -> 
         alpha_2, t_2 = mid.yaw, mid.translation
     # round 2: depths from the polished pose make the pixel weighting tight
     depths = _provisional_depths(frame, kept_idx, alpha_2, t_2)
-    t_hat, clique = solve_translation(frame, kept_idx, alpha_2, bound,
+    t_hat, clique = solve_translation(frame, tims, kept_idx, alpha_2, bound,
                                       slack_px=1.0 * config.sigma_px,
                                       depths=depths)
     pose = YawPose(alpha_2, t_hat)

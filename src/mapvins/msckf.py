@@ -458,18 +458,6 @@ def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
     return point, ok
 
 
-def triangulate(world_from_cams: list[RigidTransform], pixels: list[np.ndarray],
-                cams: list[CameraModel]):
-    """Triangulate one track (see ``_triangulate_tracks``); None when rejected."""
-    cams_from_world = [wfc.inverse() for wfc in world_from_cams]
-    point, ok = _triangulate_tracks(
-        np.array([c.rotation.as_matrix() for c in cams_from_world])[None],
-        np.array([c.translation for c in cams_from_world])[None],
-        np.asarray(pixels, dtype=float)[None],
-        np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams])[None])
-    return point[0] if ok[0] else None
-
-
 def _update_features(state: FilterState, groups: list, cols: np.ndarray,
                      report: UpdateReport) -> None:
     """Null-space projection, chi-square gate and one Schmidt update.

@@ -18,10 +18,11 @@ plane of the two rays:
 This translation-invariant measurement (TIM) of the pair is computed in one
 place, :func:`pair_tims`.  Its up-to-two roots are the yaw candidates of the
 2-point solver (:func:`_solve_pairs`); the initializer votes on the same
-TIMs.  At a fixed yaw, every translation solve (a 2-point pair, and the
-initializer's pairs, cliques and single matches) is one call of
-:func:`fit_translations`, which minimizes the perpendicular distances
-``(I - r_k r_k^T) (R(alpha) F_k + t - c_k)`` of the points from their rays.
+TIMs and reads its pair compatibility residuals off them.  At a fixed yaw,
+the translation of a 2-point pair, and of the initializer's tied cliques
+and single matches, is one call of :func:`fit_translations`, which
+minimizes the perpendicular distances ``(I - r_k r_k^T) (R(alpha) F_k + t -
+c_k)`` of the points from their rays.
 
 Solved pose convention: ``cam_from_map`` such that
 ``X_query = R(yaw) @ F_map + t``.  ``MatchResult.pose_in_map`` gives the
@@ -42,6 +43,7 @@ from mapvins.sim import Correspondence
 
 _MIN_DEPTH = 1e-3
 _RIDGE = 1e-15
+_VERIFY_BLOCK = 256    # candidates per projection pass of _Verifier.batch_errors
 
 
 class MatchingFailureError(RuntimeError):
@@ -219,7 +221,10 @@ def fit_translations(frame: MatchingFrame, members: np.ndarray, yaw,
     times the total weight keeps groups of parallel rays solvable; a single
     ray fixes t only up to its direction, so a one-member group gets the
     minimum-norm t, whose residual is 0.  Returns t (groups, 3) and the
-    residual norms ``sqrt(sum_k w_k |e_k|^2)`` (groups,).
+    residual norms ``sqrt(sum_k w_k |e_k|^2)`` (groups,).  Callers: the
+    2-point pairs, and the initializer's tied cliques and single matches;
+    the initializer's pair residuals and provisional pair translations are
+    this fit's two-member case in closed form.
     """
     members = np.asarray(members, dtype=int)
     groups, m = members.shape
@@ -310,18 +315,32 @@ class _Verifier:
             self.groups.append((sel, cam, r_cs, abc))
 
     def batch_errors(self, yaws: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Reprojection errors, shape (candidates, matches)."""
+        """Reprojection errors, shape (candidates, matches).
+
+        Candidates are projected ``_VERIFY_BLOCK`` at a time and the pixel
+        arithmetic runs in place, so the temporaries stay a few MB whatever
+        the candidate count.
+        """
         terms = np.column_stack([np.cos(yaws), np.sin(yaws), np.ones(len(yaws))])
         err = np.full((len(yaws), self.n), np.inf)
         for sel, cam, r_cs, abc in self.groups:
-            p = (terms @ abc).reshape(len(yaws), 3, len(sel))
-            p += (ts @ r_cs.T)[:, :, None]
-            x, y, z = p[:, 0], p[:, 1], p[:, 2]
-            ok = z > _MIN_DEPTH
-            z_safe = np.where(ok, z, 1.0)
-            dx = cam.fx * x / z_safe + cam.cx - self.pixels[sel, 0]
-            dy = cam.fy * y / z_safe + cam.cy - self.pixels[sel, 1]
-            err[:, sel] = np.where(ok, np.hypot(dx, dy), np.inf)
+            shift = ts @ r_cs.T
+            for lo in range(0, len(yaws), _VERIFY_BLOCK):
+                block = slice(lo, lo + _VERIFY_BLOCK)
+                p = (terms[block] @ abc).reshape(-1, 3, len(sel))
+                p += shift[block, :, None]
+                x, y, z = p[:, 0], p[:, 1], p[:, 2]
+                behind = z <= _MIN_DEPTH
+                z[behind] = 1.0
+                for u, f, c, pix in ((x, cam.fx, cam.cx, self.pixels[sel, 0]),
+                                     (y, cam.fy, cam.cy, self.pixels[sel, 1])):
+                    u *= f
+                    u /= z
+                    u += c
+                    u -= pix
+                np.hypot(x, y, out=x)
+                x[behind] = np.inf
+                err[block, sel] = x
         return err
 
     def errors(self, pose: YawPose) -> np.ndarray:

@@ -143,7 +143,7 @@ def test_criterion_4_inlier_recall_and_exact_clique():
             total += 1
             perfect += true_inliers <= set(res.translation_inliers)
     clique_ok = True
-    from mapvins.initializer import (InitConfig as IC, _provisional_depths,
+    from mapvins.initializer import (InitConfig as IC, _provisional_depths, build_tims,
                                      compatibility_graph, solve_translation)
     for seed in (30, 31, 32, 33, 34, 35):
         frame, truth, _ = aligned_problem(20, 0.5, 1.0, seed=seed)
@@ -151,8 +151,9 @@ def test_criterion_4_inlier_recall_and_exact_clique():
         idx = list(range(20))
         depths = _provisional_depths(frame, idx, truth.yaw, truth.translation)
         bounds = np.full(20, cfg.translation_bound())
-        adjacency = compatibility_graph(frame, idx, truth.yaw, depths, bounds, 1.0)
-        _, clique = solve_translation(frame, idx, truth.yaw,
+        tims = build_tims(frame)
+        adjacency = compatibility_graph(frame, tims, idx, truth.yaw, depths, bounds, 1.0)
+        _, clique = solve_translation(frame, tims, idx, truth.yaw,
                                       cfg.translation_bound(), slack_px=1.0,
                                       depths=depths)
         oracle_size, oracle_sets = brute_force_max_cliques(adjacency)

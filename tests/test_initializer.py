@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mapvins.geometry as g
+import mapvins.initializer as initializer
 from mapvins.geometry import YawPose, wrap_angle
 from mapvins.initializer import (
     InitConfig,
@@ -18,14 +19,18 @@ from mapvins.initializer import (
     solve_translation,
     vote_yaw,
     _arc_counts,
+    _pair_midpoints,
+    _pair_residuals,
+    _pixel_weights,
     _provisional_depths,
     _well_conditioned,
     _yaw_grid,
 )
 from mapvins.sim import make_matching_problem
-from mapvins.solvers import align_correspondences
+from mapvins.solvers import align_correspondences, fit_translations
 
-from two_point_oracle import exact_frame, rig_event
+from test_solvers import noisy_frame
+from two_point_oracle import basis_fit, exact_frame, rig_event
 
 
 def aligned_problem(n, inlier_rate, sigma_px, seed, tilt=0.1):
@@ -37,10 +42,11 @@ def aligned_problem(n, inlier_rate, sigma_px, seed, tilt=0.1):
 
 
 def tim_rows(*rows):
-    """TimArrays from (i, j, d1, d2, d3, bound) tuples."""
+    """TimArrays from (i, j, d1, d2, d3, bound) tuples, with unit sin_angle."""
     cols = list(zip(*rows)) if rows else [()] * 6
     return TimArrays(*(np.array(c, dtype=int) for c in cols[:2]),
-                     *(np.array(c, dtype=float) for c in cols[2:]))
+                     *(np.array(c, dtype=float) for c in cols[2:]),
+                     np.ones(len(rows)))
 
 
 def direct_counts(d1, d2, d3, slack, n_points, fine):
@@ -86,6 +92,78 @@ def brute_force_max_cliques(adjacency):
     winners = [set(np.flatnonzero([(m >> i) & 1 for i in range(n)]))
                for m in masks[sizes == best]]
     return best, winners
+
+
+def set_max_cliques(adjacency, cap=512):
+    """Oracle: the branch and bound of ``max_cliques`` on Python sets.
+
+    Same vertex order, colouring order, ``cap`` and tie rule.
+    """
+    n = len(adjacency)
+    if n == 0:
+        return [[]]
+    adj = [set(np.flatnonzero(adjacency[v])) - {v} for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    best_size = 0
+    found = []
+
+    def greedy_color(cands):
+        colors, assigned = [], {}
+        for v in cands:
+            for ci, cls in enumerate(colors):
+                if not (adj[v] & cls):
+                    cls.add(v)
+                    assigned[v] = ci + 1
+                    break
+            else:
+                colors.append({v})
+                assigned[v] = len(colors)
+        return assigned
+
+    def expand(clique, cands):
+        nonlocal best_size, found
+        if not cands:
+            if len(clique) > best_size:
+                best_size = len(clique)
+                found = [sorted(clique)]
+            elif len(clique) == best_size and len(found) < cap:
+                found.append(sorted(clique))
+            return
+        color_of = greedy_color(cands)
+        cands = sorted(cands, key=lambda v: (color_of[v], v))
+        while cands:
+            v = cands[-1]
+            reach = len(clique) + color_of[v]
+            if reach < best_size or (reach == best_size and len(found) >= cap):
+                return
+            cands = cands[:-1]
+            expand(clique + [v], [u for u in cands if u in adj[v]])
+
+    expand([], order)
+    return [[int(v) for v in c] for c in found]
+
+
+def all_pairs(n):
+    ii, jj = np.triu_indices(n, k=1)
+    return np.column_stack([ii, jj])
+
+
+def line_pair_frame(theta, gap):
+    """Two matches at yaw 0 whose rays are ``theta`` apart and lines ``gap`` apart.
+
+    Ray 1 turns ray 0 by theta towards a side vector; the base points
+    ``a = c - F`` differ by ``gap`` along the common normal plus offsets
+    along the ray and the side vector, so the lines are exactly ``gap``
+    apart whatever theta.
+    """
+    r0 = np.array([0.2, -0.1, 1.0]) / np.linalg.norm([0.2, -0.1, 1.0])
+    side = np.cross(r0, [0.0, 1.0, 0.0])
+    side /= np.linalg.norm(side)
+    r1 = math.cos(theta) * r0 + math.sin(theta) * side
+    a_0 = np.array([0.3, 0.2, -0.5])
+    a_1 = a_0 + gap * np.cross(r0, side) + 2.0 * r0 + 0.4 * side
+    points = np.array([[1.0, 2.0, 5.0], [1.5, 1.0, 9.0]])
+    return exact_frame(points, centers=np.array([a_0, a_1]) + points, rays=[r0, r1])
 
 
 class TestBuildTims:
@@ -307,7 +385,8 @@ class TestSolveTranslation:
         truth = YawPose(-0.3, np.array([1.5, -0.8, 0.4]))
         pts = np.array([[2.0, 1.0, 6.0], [-1.5, 0.5, 4.0], [0.5, -2.0, 8.0]])
         frame = exact_frame(pts, truth)
-        t_hat, clique = solve_translation(frame, [0, 1, 2], truth.yaw, 1e-6)
+        t_hat, clique = solve_translation(frame, build_tims(frame), [0, 1, 2], truth.yaw,
+                                          1e-6)
         assert sorted(clique) == [0, 1, 2]
         assert np.linalg.norm(t_hat - truth.translation) < 1e-8
 
@@ -319,9 +398,10 @@ class TestSolveTranslation:
             idx = list(range(20))
             depths = _provisional_depths(frame, idx, truth.yaw, truth.translation)
             bounds = np.full(20, cfg.translation_bound())
-            adjacency = compatibility_graph(frame, idx, truth.yaw, depths, bounds,
+            tims = build_tims(frame)
+            adjacency = compatibility_graph(frame, tims, idx, truth.yaw, depths, bounds,
                                             slack_px=1.0)
-            t_hat, clique = solve_translation(frame, idx, truth.yaw,
+            t_hat, clique = solve_translation(frame, tims, idx, truth.yaw,
                                               cfg.translation_bound(),
                                               slack_px=1.0, depths=depths)
             oracle_size, oracle_sets = brute_force_max_cliques(adjacency)
@@ -339,12 +419,12 @@ class TestSolveTranslation:
             rays.append(ray / np.linalg.norm(ray))
             points.append(rng.uniform([-20, -20, 2], [20, 20, 30]))
         frame = exact_frame(points, rays=rays)
-        _, clique = solve_translation(frame, [0, 1, 2, 3], 0.0, 1e-9)
+        _, clique = solve_translation(frame, build_tims(frame), [0, 1, 2, 3], 0.0, 1e-9)
         assert clique == [0]  # four one-match cliques fit exactly: the first wins
 
     def test_single_match_lies_on_its_ray(self):
         frame, truth, _ = aligned_problem(3, 1.0, 0.0, seed=6)
-        t_hat, clique = solve_translation(frame, [2], truth.yaw, 1.0)
+        t_hat, clique = solve_translation(frame, build_tims(frame), [2], truth.yaw, 1.0)
         assert clique == [2]
         x = YawPose(truth.yaw, t_hat).apply(frame.points[2])
         assert np.linalg.norm(np.cross(x, frame.rays[2])) < 1e-9
@@ -365,13 +445,122 @@ class TestSolveTranslation:
         normal = 2.0 * np.eye(3) - a[:, :, None] * a[:, None, :] - b[:, :, None] * b[:, None, :]
         eig = np.linalg.eigvalsh(normal)
         expected = eig[:, 0] > 1e-4 * eig[:, -1]
-        np.testing.assert_array_equal(_well_conditioned(a, b), expected)
+        np.testing.assert_array_equal(_well_conditioned(np.einsum("pi,pi->p", a, b)),
+                                      expected)
         assert 0 < expected[1000:].sum() < 3000
 
     def test_empty_input(self):
         frame, *_ = aligned_problem(5, 1.0, 0.0, seed=6)
         with pytest.raises(InitializationError):
-            solve_translation(frame, [], 0.0, 1.0)
+            solve_translation(frame, build_tims(frame), [], 0.0, 1.0)
+
+
+class TestPairResiduals:
+    """The closed-form pair residual against the translation fits it replaced."""
+
+    def test_exact_pairs_vanish_and_match_fit(self):
+        rng = np.random.default_rng(12)
+        truth = YawPose(-0.6, np.array([0.4, 1.2, -0.3]))
+        points = rng.uniform([-4, -4, 3], [4, 4, 12], size=(10, 3))
+        for centers in (None, rng.normal(0.0, 0.3, (10, 3))):  # one camera, then a rig
+            frame = exact_frame(points, truth, centers=centers)
+            idx = np.arange(10)
+            ii, jj, rss = _pair_residuals(frame, build_tims(frame), idx, truth.yaw,
+                                          np.ones(10))
+            np.testing.assert_array_equal(np.column_stack([ii, jj]), all_pairs(10))
+            assert rss.max() < 1e-9
+            _, fit = fit_translations(frame, all_pairs(10), truth.yaw)
+            assert np.abs(rss - fit).max() < 1e-9
+
+    def test_weighted_noisy_pairs_match_fit_and_basis_rows(self):
+        # rig centres, a yaw off truth and per-match pixel weights
+        frame, truth = noisy_frame(30, 13, centers=True)
+        rng = np.random.default_rng(14)
+        idx = np.sort(rng.choice(30, 24, replace=False))
+        w = _pixel_weights(frame, idx, rng.uniform(2.0, 15.0, 24))
+        yaw = truth.yaw + 0.003
+        ii, jj, rss = _pair_residuals(frame, build_tims(frame), idx, yaw, w)
+        pairs = np.column_stack([idx[ii], idx[jj]])
+        _, fit = fit_translations(frame, pairs, yaw, np.column_stack([w[ii], w[jj]]))
+        np.testing.assert_allclose(rss, fit, rtol=1e-9, atol=1e-9)
+        for p in range(0, len(pairs), 25):
+            _, old = basis_fit(frame, pairs[p], yaw, [w[ii[p]], w[jj[p]]])
+            assert rss[p] == pytest.approx(old, rel=1e-9, abs=1e-9)
+
+    def test_subset_in_any_order(self):
+        # pairs of an unsorted subset come back at their positions in idx
+        frame, truth = noisy_frame(12, 15)
+        idx = np.array([7, 2, 11, 4, 0])
+        w = np.linspace(1.0, 3.0, 5)
+        ii, jj, rss = _pair_residuals(frame, build_tims(frame), idx, truth.yaw, w)
+        assert len(rss) == 10
+        _, fit = fit_translations(frame, np.column_stack([idx[ii], idx[jj]]), truth.yaw,
+                                  np.column_stack([w[ii], w[jj]]))
+        np.testing.assert_allclose(rss, fit, rtol=1e-9, atol=1e-9)
+
+    def test_parallel_rays(self):
+        # exactly parallel, axis-aligned and tilted, and antiparallel: the
+        # parallel-line distance
+        ray = np.array([0.0, 0.0, 1.0])
+        tilted = np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0])
+        for r0, r1 in ((ray, ray), (tilted, tilted), (tilted, -tilted)):
+            frame = exact_frame([[1.0, 2.0, 5.0], [1.5, 1.0, 9.0]], rays=[r0, r1])
+            tims = build_tims(frame)
+            assert tims.sin_angle[0] == 0.0
+            w = np.array([4.0, 9.0])
+            _, _, rss = _pair_residuals(frame, tims, np.arange(2), 0.4, w)
+            _, fit = fit_translations(frame, [[0, 1]], 0.4, w[None, :])
+            _, old = basis_fit(frame, [0, 1], 0.4, w)
+            assert rss[0] == pytest.approx(fit[0], rel=1e-9)
+            assert rss[0] == pytest.approx(old, rel=1e-9)
+
+    def test_rays_a_milliradian_apart(self):
+        frame = line_pair_frame(1e-3, 0.7)
+        _, _, rss = _pair_residuals(frame, build_tims(frame), np.arange(2), 0.0,
+                                    np.ones(2))
+        _, fit = fit_translations(frame, [[0, 1]], 0.0)
+        _, old = basis_fit(frame, [0, 1], 0.0)
+        assert rss[0] == pytest.approx(0.7 / math.sqrt(2.0), rel=1e-12)
+        assert rss[0] == pytest.approx(fit[0], rel=1e-9)
+        assert rss[0] == pytest.approx(old, rel=1e-9)
+
+    def test_near_parallel_where_the_fit_ridge_dominates(self):
+        # 1e-8 and 1e-9 rad apart, the pair's small eigenvalue (theta^2 / 2)
+        # is far below fit_translations' ridge of 1e-15 per unit weight, so
+        # the ridge holds t near the origin and the fit's residual overshoots
+        # the true minimum; the closed form stays within 1e-6 (relative) of
+        # the constructed line distance, and never above the fit
+        for theta in (1e-8, 1e-9):
+            frame = line_pair_frame(theta, 0.7)
+            _, _, rss = _pair_residuals(frame, build_tims(frame), np.arange(2), 0.0,
+                                        np.ones(2))
+            _, fit = fit_translations(frame, [[0, 1]], 0.0)
+            assert rss[0] == pytest.approx(0.7 / math.sqrt(2.0), rel=1e-6)
+            assert fit[0] > rss[0] * (1.0 + 1e-3)
+
+
+class TestPairMidpoints:
+    def test_match_unweighted_fit_on_well_conditioned_pairs(self):
+        for centers in (False, True):
+            frame, truth = noisy_frame(40, 16, centers=centers)
+            idx = np.arange(3, 40)
+            yaw = truth.yaw - 0.002
+            pairs = idx[all_pairs(len(idx))]
+            cos = np.einsum("pi,pi->p", frame.rays[pairs[:, 0]], frame.rays[pairs[:, 1]])
+            good = _well_conditioned(cos)
+            ts = _pair_midpoints(frame, build_tims(frame), idx, yaw)
+            assert len(ts) == good.sum() > 0
+            fit, _ = fit_translations(frame, pairs[good], yaw)
+            assert np.abs(ts - fit).max() < 1e-9 * (1.0 + np.abs(fit).max())
+
+    def test_ill_conditioned_pairs_are_dropped(self):
+        ray = np.array([0.1, 0.2, 1.0]) / np.linalg.norm([0.1, 0.2, 1.0])
+        other = np.array([-0.3, 0.1, 1.0]) / np.linalg.norm([-0.3, 0.1, 1.0])
+        frame = exact_frame([[1.0, 2.0, 5.0], [1.5, 1.0, 9.0], [0.0, 0.0, 4.0]],
+                            rays=[ray, ray, other])
+        ts = _pair_midpoints(frame, build_tims(frame), np.arange(3), 0.2)
+        fit, _ = fit_translations(frame, [[0, 2], [1, 2]], 0.2)
+        assert np.abs(ts - fit).max() < 1e-9 * (1.0 + np.abs(fit).max())
 
 
 class TestMaxClique:
@@ -398,6 +587,33 @@ class TestMaxClique:
     def test_empty_graph(self):
         assert max_clique(np.zeros((0, 0), dtype=bool)) == []
         assert max_clique(np.zeros((3, 3), dtype=bool)) in ([0], [1], [2])
+
+    def test_bitset_search_equals_set_oracle(self):
+        # identical lists in identical order, including where cap truncates
+        # the ties and where the diagonal is set
+        rng = np.random.default_rng(17)
+        truncated = 0
+        for trial in range(120):
+            n = int(rng.integers(1, 70))
+            adj = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.9), 1)
+            adj = adj | adj.T
+            if trial % 4 == 0:
+                np.fill_diagonal(adj, True)
+            for cap in (1, 3, 512):
+                got = max_cliques(adj, cap=cap)
+                assert got == set_max_cliques(adj, cap=cap)
+                truncated += len(got) == cap < len(set_max_cliques(adj))
+        assert truncated > 20
+
+    def test_bitset_search_equals_set_oracle_on_initializer_graphs(self):
+        frame, truth, _ = aligned_problem(120, 0.3, 1.0, seed=18)
+        idx = np.arange(120)
+        depths = _provisional_depths(frame, idx, truth.yaw, truth.translation)
+        tims = build_tims(frame)
+        for slack in (0.0, 3.0, 30.0):
+            adj = compatibility_graph(frame, tims, idx, truth.yaw, depths,
+                                      np.full(120, 3.0), slack)
+            assert max_cliques(adj) == set_max_cliques(adj)
 
 
 class TestInitialize:
@@ -442,3 +658,30 @@ class TestInitialize:
     def test_too_few_correspondences(self):
         with pytest.raises(InitializationError):
             initialize_frame(exact_frame([[1.0, 0.0, 5.0]]))
+
+    def test_pair_blocks_do_not_change_results(self, monkeypatch):
+        # the pair-wise stages run on TIM rows in blocks; 120 matches make
+        # 7,140 pairs, one block by default and 74 blocks of 97 here
+        frame, truth, _ = aligned_problem(120, 0.3, 1.0, seed=19)
+        idx = np.arange(3, 120)
+
+        def stages():
+            tims = build_tims(frame)
+            depths = initializer._median_pair_depths(frame, tims, idx, truth.yaw)
+            return (tims, vote_yaw(tims, math.radians(0.25)), depths,
+                    compatibility_graph(frame, tims, idx, truth.yaw, depths,
+                                        np.full(len(idx), 3.0), 1.0),
+                    initialize_frame(frame))
+
+        whole = stages()
+        monkeypatch.setattr(initializer, "_PAIR_BLOCK", 97)
+        blocked = stages()
+        for name in ("i", "j", "d1", "d2", "d3", "bound", "sin_angle"):
+            np.testing.assert_array_equal(getattr(blocked[0], name), getattr(whole[0], name))
+        assert blocked[1] == whole[1]
+        np.testing.assert_array_equal(blocked[2], whole[2])
+        np.testing.assert_array_equal(blocked[3], whole[3])
+        a, b = blocked[4], whole[4]
+        assert (a.yaw_inliers, a.translation_inliers) == (b.yaw_inliers, b.translation_inliers)
+        assert a.refined_pose.yaw == b.refined_pose.yaw
+        np.testing.assert_array_equal(a.refined_pose.translation, b.refined_pose.translation)

@@ -15,12 +15,12 @@ from mapvins.msckf import (
     TrackObservation,
     _map_rows,
     _small_rotation,
+    _triangulate_tracks,
     clone_and_marginalize,
     current_pose_in_map,
     ensure_keyframe,
     propagate,
     register_map,
-    triangulate,
     update_local,
     update_map,
 )
@@ -29,6 +29,17 @@ from mapvins.sim import ImuSample, generate_trajectory, make_rig
 
 def forward_camera():
     return make_rig(1)
+
+
+def triangulate(world_from_cams, pixels, cams):
+    """Triangulate one track with the batched kernel; None when rejected."""
+    cams_from_world = [wfc.inverse() for wfc in world_from_cams]
+    point, ok = _triangulate_tracks(
+        np.array([c.rotation.as_matrix() for c in cams_from_world])[None],
+        np.array([c.translation for c in cams_from_world])[None],
+        np.asarray(pixels, dtype=float)[None],
+        np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams])[None])
+    return point[0] if ok[0] else None
 
 
 def snapshot_nuisance(state):

@@ -129,7 +129,7 @@ def test_triangulate_matches_oracle():
     kept = 0
     for poses, pixels, cams in cases:
         ref = oracle.triangulate(poses, pixels, cams)
-        got = msckf.triangulate(poses, pixels, cams)
+        got = test_msckf.triangulate(poses, pixels, cams)
         assert (got is None) == (ref is None)
         if ref is not None:
             kept += 1

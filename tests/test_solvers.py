@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mapvins.geometry as g
+import mapvins.solvers as solvers
 from mapvins.geometry import RigidTransform, YawPose, wrap_angle
 from mapvins.sim import Scenario, ScenarioConfig, make_matching_problem
 from mapvins.solvers import (
@@ -275,6 +276,21 @@ class TestFitTranslations:
 
 
 class TestVerifier:
+    def test_candidate_blocks_keep_errors(self, monkeypatch):
+        # 600 candidates in blocks of 256 (default) and of 7: a block's
+        # projection is its own matrix product, so values may move by an ulp
+        frame, true_cfm, _ = rig_event(4, 1)
+        rng = np.random.default_rng(1)
+        yaws = rng.uniform(-math.pi, math.pi, 600)
+        ts = true_cfm.translation + rng.normal(0.0, 1.0, (600, 3))
+        whole = _Verifier(frame).batch_errors(yaws, ts)
+        monkeypatch.setattr(solvers, "_VERIFY_BLOCK", 7)
+        blocked = _Verifier(frame).batch_errors(yaws, ts)
+        np.testing.assert_array_equal(np.isinf(blocked), np.isinf(whole))
+        assert np.isinf(whole).any() and np.isfinite(whole).any()
+        finite = np.isfinite(whole)
+        np.testing.assert_allclose(blocked[finite], whole[finite], rtol=1e-12, atol=1e-9)
+
     def test_batch_errors_match_per_match_projection(self):
         frame, true_cfm, _ = rig_event(3, 0)
         assert len(set(frame.camera_ids.tolist())) > 1
