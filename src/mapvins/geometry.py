@@ -54,10 +54,13 @@ def skew(v) -> np.ndarray:
 
 
 def _quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """JPL quaternion product (xyzw): C(a*b) = C(a) C(b)."""
-    # vec = aw * bv + bw * av - cross(av, bv), written out in scalars: the
-    # same IEEE operations in the same order as np.cross, without its
-    # per-call array overhead
+    """JPL quaternion product (xyzw): C(a*b) = C(a) C(b); (4,) or (n, 4) rows."""
+    if a.ndim > 1:
+        w = a[:, 3] * b[:, 3] - np.vecdot(a[:, :3], b[:, :3])
+        vec = a[:, 3:] * b[:, :3] + b[:, 3:] * a[:, :3] - np.cross(a[:, :3], b[:, :3])
+        return np.column_stack([vec, w])
+    # the same formula written out in scalars: the same IEEE operations in
+    # the same order as np.cross, without its per-call array overhead
     ax, ay, az, aw = a.tolist()
     bx, by, bz, bw = b.tolist()
     w = aw * bw - a[:3] @ b[:3]

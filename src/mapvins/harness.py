@@ -237,7 +237,7 @@ def run_localization(scenario: Scenario, cfg: ExperimentConfig,
                 if len(corrs) < 2:
                     continue
                 attitude = state.world_from_imu().rotation
-                if ev.map_id not in state.map_tau:
+                if ev.map_id not in state.bundles:
                     if len(corrs) < cfg.min_init_matches:
                         continue
                     try:
@@ -286,7 +286,7 @@ def run_localization(scenario: Scenario, cfg: ExperimentConfig,
                 matched_ids = {i.landmark_id for i in items}
                 cross = [(lm, other_map, other_lm)
                          for lm, other_map, other_lm in assoc_by_map.get(ev.map_id, [])
-                         if lm in matched_ids and other_map in state.map_tau]
+                         if lm in matched_ids and other_map in state.bundles]
                 obs = MapObservation(ev.map_id, items, anchors, cross)
                 update_map(state, obs)
 
@@ -300,7 +300,7 @@ def run_localization(scenario: Scenario, cfg: ExperimentConfig,
             "cov_trace": float(np.trace(state.P[:state.active_dim,
                                                 :state.active_dim])),
         }
-        for map_id in state.map_tau:
+        for map_id in state.bundles:
             pose_map = current_pose_in_map(state, map_id)
             rec["maps"][str(map_id)] = {
                 "p": pose_map.translation.tolist(),
@@ -451,7 +451,7 @@ def compare_modes(cfg: ExperimentConfig, modes: dict[str, dict] | None = None,
             run_cfg = replace(cfg, scenario=scen_cfg)
             scenario_for_mode = scenario
             if "map_subset" in spec:
-                scenario_for_mode = _restrict_maps(scenario, spec["map_subset"])
+                scenario_for_mode = _RestrictedScenario(scenario, spec["map_subset"])
             try:
                 result = run_localization(
                     scenario_for_mode, run_cfg,
@@ -497,10 +497,6 @@ class _RestrictedScenario:
 
     def __getattr__(self, name):
         return getattr(self._scenario, name)
-
-
-def _restrict_maps(scenario: Scenario, map_ids) -> _RestrictedScenario:
-    return _RestrictedScenario(scenario, map_ids)
 
 
 def export_scenario(scenario: Scenario, out_dir) -> None:

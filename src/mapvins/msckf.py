@@ -11,6 +11,16 @@ State (error-state dimensions in parentheses):
   (6 each).  Schmidt treatment: their means and their own covariance block
   are never modified by updates; only cross-covariances evolve.
 
+Layout: after the IMU block, 6-dim pose blocks in covariance order (clones,
+maps, keyframes) named by ``keys``: ``("clone", frame)``, ``("map", map_id)``,
+``("kf", map_id, kf_id)``; ``slot`` gives a block's first index.  The active
+means are the ``(k, 4)`` quaternion stack ``quats`` and ``(k, 3)`` stack
+``positions``, row for row with the first k keys, plus the ``(4,)`` IMU
+attitude ``q_IL``.  A keyframe mean is always its bundle's pose (the Schmidt
+update never moves it) and is not stored.  Every correction renormalizes
+every attitude; ``Rotation`` objects are built only in ``world_from_imu``,
+``map_from_local`` and ``current_pose_in_map``.
+
 Error convention: left multiplicative for rotations,
 ``R = (I - skew(dtheta)) @ R_hat``, additive for everything else.  The filter
 is a single-owner mutable object; updates mutate in place and return the
@@ -25,7 +35,6 @@ coordinates with sigma scaled by 1/f.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,10 +137,6 @@ class UpdateReport:
     max_nullspace_residual: float = 0.0
 
 
-def _small_rotation(dtheta: np.ndarray) -> Rotation:
-    return Rotation(np.array([0.5 * dtheta[0], 0.5 * dtheta[1], 0.5 * dtheta[2], 1.0]))
-
-
 class _RigArrays:
     """Per-camera constants, stacked once per filter state.
 
@@ -159,16 +164,15 @@ class FilterState:
         self.rig = {cam.camera_id: cam for cam in rig}
         self._rig = _RigArrays(list(self.rig.values()))
         self.time = start_time
-        self.q_IL = Rotation.identity()
+        self.q_IL = np.array([0.0, 0.0, 0.0, 1.0])
         self.v = np.zeros(3)
         self.p = np.zeros(3)
         self.bg = np.zeros(3)
         self.ba = np.zeros(3)
-        self.clones: OrderedDict[int, tuple[Rotation, np.ndarray]] = OrderedDict()
-        self.map_tau: OrderedDict[int, tuple[Rotation, np.ndarray]] = OrderedDict()
+        self.keys: list[tuple] = []
+        self.quats = np.zeros((0, 4))
+        self.positions = np.zeros((0, 3))
         self.bundles: dict[int, MapBundle] = {}
-        self.keyframes: OrderedDict[tuple[int, int], tuple[Rotation, np.ndarray]] = \
-            OrderedDict()
         self.P = np.zeros((IMU_DIM, IMU_DIM))
         self.last_report: UpdateReport | None = None
         self._chi2_cache: dict[int, float] = {}
@@ -176,25 +180,25 @@ class FilterState:
     # -- dimensions ---------------------------------------------------------
 
     @property
+    def n_clones(self) -> int:
+        """Active poses that are not map transforms (one per registered bundle)."""
+        return len(self.quats) - len(self.bundles)
+
+    @property
     def active_dim(self) -> int:
-        return IMU_DIM + 6 * len(self.clones) + 6 * len(self.map_tau)
+        return IMU_DIM + 6 * len(self.quats)
 
     @property
     def nuisance_dim(self) -> int:
-        return 6 * len(self.keyframes)
+        return self.dim - self.active_dim
 
     @property
     def dim(self) -> int:
-        return self.active_dim + self.nuisance_dim
+        return IMU_DIM + 6 * len(self.keys)
 
-    def clone_index(self, frame: int) -> int:
-        return IMU_DIM + 6 * list(self.clones).index(frame)
-
-    def tau_index(self, map_id: int) -> int:
-        return IMU_DIM + 6 * len(self.clones) + 6 * list(self.map_tau).index(map_id)
-
-    def kf_index(self, map_id: int, kf_id: int) -> int:
-        return self.active_dim + 6 * list(self.keyframes).index((map_id, kf_id))
+    def slot(self, key: tuple) -> int:
+        """First covariance index of the pose block named ``key``."""
+        return IMU_DIM + 6 * self.keys.index(key)
 
     def _chi2_gate(self, dof: int) -> float:
         if dof not in self._chi2_cache:
@@ -204,7 +208,7 @@ class FilterState:
     # -- initialization -------------------------------------------------------
 
     def set_pose(self, world_from_imu: RigidTransform, velocity, bg=None, ba=None):
-        self.q_IL = world_from_imu.rotation.inverse()
+        self.q_IL = world_from_imu.rotation.inverse().quaternion.copy()
         self.p = np.asarray(world_from_imu.translation, dtype=float).copy()
         self.v = np.asarray(velocity, dtype=float).copy()
         if bg is not None:
@@ -221,11 +225,11 @@ class FilterState:
     # -- pose readers -----------------------------------------------------------
 
     def world_from_imu(self) -> RigidTransform:
-        return RigidTransform(self.q_IL.inverse(), self.p)
+        return RigidTransform(Rotation(self.q_IL).inverse(), self.p)
 
     def map_from_local(self, map_id: int) -> RigidTransform:
-        q, p = self.map_tau[map_id]
-        return RigidTransform(q, p)
+        row = self.keys.index(("map", map_id))
+        return RigidTransform(Rotation(self.quats[row]), self.positions[row])
 
 
 # -- propagation ---------------------------------------------------------------
@@ -265,7 +269,7 @@ def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
     acc0, acc1 = accel[:-1], accel[1:]
 
     inc = _rotvec_to_quat(-omega * dt[:, None])
-    quats = [state.q_IL.quaternion]
+    quats = [state.q_IL]
     for q_inc in inc:
         quats.append(_quat_product(q_inc, quats[-1]))
     r_li = _quat_to_matrix(np.array(quats)).transpose(0, 2, 1)  # R_IL^T per sample
@@ -308,7 +312,7 @@ def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
         phi_acc = phi_acc @ phi[k]
     q_acc = ((suffix * q_diag[:, None, :]) @ suffix.transpose(0, 2, 1)).sum(axis=0)
 
-    state.q_IL = Rotation(quats[-1])
+    state.q_IL = quats[-1] / np.linalg.norm(quats[-1])
     state.v = v[-1].copy()
     state.p = p[-1].copy()
     d = state.dim
@@ -322,37 +326,41 @@ def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
     return state
 
 
-def _insert_block(cov: np.ndarray, at: int, cross: np.ndarray,
-                  corner: np.ndarray) -> np.ndarray:
-    """``cov`` with a 6-state block inserted before index ``at``.
-
-    ``cross`` (6, d) is the new block's covariance with the old states and
-    ``corner`` (6, 6) its own.
-    """
-    rows = np.concatenate([cov[:at], cross, cov[at:]])
-    cols = np.concatenate([cross[:, :at].T, corner, cross[:, at:].T])
-    return np.concatenate([rows[:, :at], cols, rows[:, at:]], axis=1)
-
-
 def _delete_block(cov: np.ndarray, at: int) -> np.ndarray:
     """``cov`` without the rows and columns of the 6-state block at ``at``."""
     rows = np.concatenate([cov[:at], cov[at + 6:]])
     return np.concatenate([rows[:, :at], rows[:, at + 6:]], axis=1)
 
 
+def _insert_pose(state: FilterState, at: int, key: tuple, cross: np.ndarray,
+                 corner: np.ndarray, mean: tuple | None = None) -> None:
+    """Insert pose block ``key`` at position ``at`` after the IMU block.
+
+    ``cross`` (6, d) is the new block's covariance with the old states and
+    ``corner`` (6, 6) its own; an active pose also inserts its ``mean``
+    (quaternion, position) at row ``at`` of the stack.
+    """
+    i = IMU_DIM + 6 * at
+    rows = np.concatenate([state.P[:i], cross, state.P[i:]])
+    cols = np.concatenate([cross[:, :i].T, corner, cross[:, i:].T])
+    state.P = np.concatenate([rows[:, :i], cols, rows[:, i:]], axis=1)
+    state.keys.insert(at, key)
+    if mean is not None:
+        state.quats = np.concatenate([state.quats[:at], [mean[0]], state.quats[at:]])
+        state.positions = np.concatenate([state.positions[:at], [mean[1]],
+                                          state.positions[at:]])
+
+
 def clone_and_marginalize(state: FilterState, frame: int) -> FilterState:
     """Append a clone of the current pose; drop the oldest beyond the window."""
-    insert_at = IMU_DIM + 6 * len(state.clones)  # end of the clone section
     cross = np.concatenate([state.P[_TH], state.P[_P]])   # the pose rows
     corner = np.concatenate([cross[:, _TH], cross[:, _P]], axis=1)
-    state.P = _insert_block(state.P, insert_at, cross, corner)
-    state.clones[frame] = (state.q_IL, state.p.copy())
-
-    while len(state.clones) > state.config.window_size:
-        oldest = next(iter(state.clones))
-        start = state.clone_index(oldest)
-        del state.clones[oldest]
-        state.P = _delete_block(state.P, start)
+    _insert_pose(state, state.n_clones, ("clone", frame), cross, corner,
+                 (state.q_IL, state.p))
+    while state.n_clones > state.config.window_size:  # the oldest is block 0
+        del state.keys[0]
+        state.quats, state.positions = state.quats[1:], state.positions[1:]
+        state.P = _delete_block(state.P, IMU_DIM)
     return state
 
 
@@ -360,21 +368,18 @@ def clone_and_marginalize(state: FilterState, frame: int) -> FilterState:
 
 
 def _apply_active_correction(state: FilterState, dx: np.ndarray) -> None:
-    state.q_IL = _small_rotation(dx[_TH]) @ state.q_IL
+    """Apply the active error state ``dx``; every attitude is renormalized."""
+    poses = dx[IMU_DIM:].reshape(-1, 6)
+    small = np.ones((1 + len(poses), 4))  # (dtheta / 2, 1) per attitude
+    small[:, :3] = 0.5 * np.vstack([dx[_TH], poses[:, :3]])
+    quats = _quat_product(small, np.vstack([state.q_IL, state.quats]))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    state.q_IL, state.quats = quats[0], quats[1:]
+    state.positions = state.positions + poses[:, 3:]
     state.v = state.v + dx[_V]
     state.p = state.p + dx[_P]
     state.bg = state.bg + dx[_BG]
     state.ba = state.ba + dx[_BA]
-    for k, frame in enumerate(state.clones):
-        base = IMU_DIM + 6 * k
-        q, p = state.clones[frame]
-        state.clones[frame] = (_small_rotation(dx[base:base + 3]) @ q,
-                               p + dx[base + 3:base + 6])
-    for k, map_id in enumerate(state.map_tau):
-        base = IMU_DIM + 6 * len(state.clones) + 6 * k
-        q, p = state.map_tau[map_id]
-        state.map_tau[map_id] = (_small_rotation(dx[base:base + 3]) @ q,
-                                 p + dx[base + 3:base + 6])
 
 
 def _schmidt_update(state: FilterState, h: np.ndarray, cols: np.ndarray,
@@ -512,7 +517,8 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
     """
     report = UpdateReport()
     cfg = state.config
-    slots = {frame: k for k, frame in enumerate(state.clones)}
+    n_clones = state.n_clones
+    slots = {key[1]: k for k, key in enumerate(state.keys[:n_clones])}
     by_length: dict[int, list] = {}
     for track in tracks[: cfg.max_tracks_per_update]:
         obs = [o for o in track.observations if o.frame in slots]
@@ -522,10 +528,8 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
         by_length.setdefault(len(obs), []).append(obs)
 
     rig = state._rig
-    n_clones = len(state.clones)
-    clone_r = _quat_to_matrix(np.array([q.quaternion for q, _ in state.clones.values()])
-                              .reshape(-1, 4))
-    clone_p = np.array([p for _, p in state.clones.values()]).reshape(-1, 3)
+    clone_r = _quat_to_matrix(state.quats[:n_clones])
+    clone_p = state.positions[:n_clones]
     sigma = cfg.local_sigma_px
     groups = []
     for n_obs, group in sorted(by_length.items()):
@@ -567,19 +571,14 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
 
 
 def register_map(state: FilterState, bundle: MapBundle,
-                 map_from_local: RigidTransform,
-                 sigma_pos: float | None = None,
-                 sigma_rot: float | None = None) -> FilterState:
+                 map_from_local: RigidTransform) -> FilterState:
     """Augment the state with a new map transform (and remember the bundle)."""
-    if bundle.map_id in state.map_tau:
+    if bundle.map_id in state.bundles:
         raise FilterError(f"map {bundle.map_id} already registered")
     cfg = state.config
-    sigma_pos = cfg.tau_sigma_pos if sigma_pos is None else sigma_pos
-    sigma_rot = cfg.tau_sigma_rot if sigma_rot is None else sigma_rot
-    state.P = _insert_block(state.P, state.active_dim, np.zeros((6, state.dim)),
-                            np.diag([sigma_rot ** 2] * 3 + [sigma_pos ** 2] * 3))
-    state.map_tau[bundle.map_id] = (map_from_local.rotation,
-                                    map_from_local.translation.copy())
+    _insert_pose(state, len(state.quats), ("map", bundle.map_id), np.zeros((6, state.dim)),
+                 np.diag([cfg.tau_sigma_rot ** 2] * 3 + [cfg.tau_sigma_pos ** 2] * 3),
+                 (map_from_local.rotation.quaternion, map_from_local.translation))
     state.bundles[bundle.map_id] = bundle
     return state
 
@@ -593,35 +592,29 @@ def ensure_keyframe(state: FilterState, map_id: int, kf_id: int) -> bool:
     cfg = state.config
     if cfg.kf_sigma_pos == 0.0 and cfg.kf_sigma_rot == 0.0:
         return False
-    key = (map_id, kf_id)
-    if key in state.keyframes:
+    key = ("kf", map_id, kf_id)
+    if key in state.keys:
         return True
-    if len(state.keyframes) >= cfg.max_nuisance_keyframes:
+    if state.nuisance_dim >= 6 * cfg.max_nuisance_keyframes:
         return False
-    pose = state.bundles[map_id].keyframes[kf_id].pose
-    state.P = _insert_block(state.P, state.dim, np.zeros((6, state.dim)),
-                            np.diag([cfg.kf_sigma_rot ** 2] * 3 + [cfg.kf_sigma_pos ** 2] * 3))
-    state.keyframes[key] = (pose.rotation, pose.translation.copy())
+    _insert_pose(state, len(state.keys), key, np.zeros((6, state.dim)),
+                 np.diag([cfg.kf_sigma_rot ** 2] * 3 + [cfg.kf_sigma_pos ** 2] * 3))
     return True
 
 
-def _keyframe_pose(state: FilterState, map_id: int, kf_id: int,
-                   lifted: dict[tuple[int, int], bool], slots: dict) -> tuple:
+def _keyframe_pose(state: FilterState, map_id: int, kf_id: int, slots: dict) -> tuple:
     """(quaternion, position, nuisance slot or -1) of a map keyframe.
 
-    A lifted keyframe is read from the nuisance states and gets the next
-    free slot; any other keyframe is a constant from its bundle.
+    The pose is its bundle's (a nuisance mean never moves); a lifted
+    keyframe also gets the next free slot.
     """
-    key = (map_id, kf_id)
-    if lifted.get(key, False):
-        q_kf, p_kf = state.keyframes[key]
-        return q_kf.quaternion, p_kf, slots.setdefault(key, len(slots))
     pose = state.bundles[map_id].keyframes[kf_id].pose
-    return pose.rotation.quaternion, pose.translation, -1
+    key = ("kf", map_id, kf_id)
+    slot = slots.setdefault(key, len(slots)) if key in state.keys else -1
+    return pose.rotation.quaternion, pose.translation, slot
 
 
-def _map_rows(state: FilterState, obs: MapObservation, landmarks: list,
-              lifted: dict[tuple[int, int], bool]) -> tuple:
+def _map_rows(state: FilterState, obs: MapObservation, landmarks: list) -> tuple:
     """Rows of every measurement of ``landmarks`` as stacked 2-row blocks.
 
     ``landmarks`` lists (landmark_id, items, map_position).  Each landmark
@@ -639,13 +632,14 @@ def _map_rows(state: FilterState, obs: MapObservation, landmarks: list,
     """
     cfg = state.config
     rig = state._rig
-    map_ids = list(state.map_tau)
+    map_ids = list(state.bundles)
     n_maps = len(map_ids)
-    tau_r = _quat_to_matrix(np.array([q.quaternion for q, _ in state.map_tau.values()]))
-    tau_p = np.array([p for _, p in state.map_tau.values()])
+    n_clones = state.n_clones
+    tau_r = _quat_to_matrix(state.quats[n_clones:])
+    tau_p = state.positions[n_clones:]
     home = map_ids.index(obs.map_id)
     r_gl, p_tau = tau_r[home], tau_p[home]
-    r_il = state.q_IL.as_matrix()
+    r_il = _quat_to_matrix(state.q_IL)
     bundle = state.bundles[obs.map_id]
     cross_by_lm: dict[int, list] = {}
     for x_lm, other_map, other_lm in obs.cross:
@@ -661,17 +655,17 @@ def _map_rows(state: FilterState, obs: MapObservation, landmarks: list,
         stored = bundle.landmarks[lm_id].position
         for kf_id in obs.anchors.get(lm_id, ())[: cfg.anchors_per_landmark]:
             kf_blocks.append((len(cam_blocks) + len(kf_blocks), i,
-                              *_keyframe_pose(state, obs.map_id, kf_id, lifted, slots),
+                              *_keyframe_pose(state, obs.map_id, kf_id, slots),
                               stored, -1))
         for other_map, other_lm in cross_by_lm.get(lm_id, ()):
-            if other_map not in state.map_tau:
+            if other_map not in state.bundles:
                 continue
             other_rec = state.bundles[other_map].landmarks.get(other_lm)
             if other_rec is None:
                 continue
             for kf_id in other_rec.observing_keyframes[: cfg.cross_anchors_per_landmark]:
                 kf_blocks.append((len(cam_blocks) + len(kf_blocks), i,
-                                  *_keyframe_pose(state, other_map, kf_id, lifted, slots),
+                                  *_keyframe_pose(state, other_map, kf_id, slots),
                                   other_rec.position, map_ids.index(other_map)))
 
     # column blocks of 6: IMU (attitude, position), each map, each lifted keyframe
@@ -733,9 +727,9 @@ def _map_rows(state: FilterState, obs: MapObservation, landmarks: list,
             sigma[pos] = cfg.map_sigma_px * cfg.map_inflation / rig.f_ref
             valid[pos] = (p_k[:, 2] >= 1e-2) & (z_k[:, 2] >= 1e-2)
             owner[pos] = own
-    first_tau = IMU_DIM + 6 * len(state.clones)
+    first_tau = IMU_DIM + 6 * n_clones
     cols = np.concatenate([[0, 1, 2, 6, 7, 8], first_tau + np.arange(6 * n_maps),
-                           *(state.kf_index(*key) + np.arange(6) for key in slots)])
+                           *(state.slot(key) + np.arange(6) for key in slots)])
     h = h.reshape(n_blocks, 2, len(cols))
     return owner[valid], h[valid], cols, h_f[valid], resid[valid], sigma[valid]
 
@@ -748,24 +742,23 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
     means and their covariance block are bit-identical before and after.
     Landmarks with the same number of row blocks are processed as one stack.
     """
-    if obs.map_id not in state.map_tau:
+    if obs.map_id not in state.bundles:
         raise FilterError(f"map {obs.map_id} is not registered")
     cfg = state.config
     report = UpdateReport()
 
     # lift anchors first (state augmentation, not part of the update proper)
-    lifted: dict[tuple[int, int], bool] = {}
     for lm_id, kf_ids in obs.anchors.items():
         for kf_id in kf_ids[: cfg.anchors_per_landmark]:
-            lifted[(obs.map_id, kf_id)] = ensure_keyframe(state, obs.map_id, kf_id)
+            ensure_keyframe(state, obs.map_id, kf_id)
     for _, other_map, other_lm in obs.cross:
-        if other_map not in state.map_tau:
+        if other_map not in state.bundles:
             continue
         rec = state.bundles[other_map].landmarks.get(other_lm)
         if rec is None:
             continue
         for kf_id in rec.observing_keyframes[: cfg.cross_anchors_per_landmark]:
-            lifted[(other_map, kf_id)] = ensure_keyframe(state, other_map, kf_id)
+            ensure_keyframe(state, other_map, kf_id)
 
     by_landmark: dict[int, list[MapMatchItem]] = {}
     for item in obs.matches:
@@ -779,7 +772,7 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
             continue
         landmarks.append((lm_id, items, rec.position))
 
-    owner, h, cols, h_f, resid, sigma = _map_rows(state, obs, landmarks, lifted)
+    owner, h, cols, h_f, resid, sigma = _map_rows(state, obs, landmarks)
     # whiten all rows to unit noise: the null-space split is only
     # information-preserving on whitened Jacobians, and the projected
     # measurement covariance becomes exactly identity
@@ -804,6 +797,6 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
 
 def current_pose_in_map(state: FilterState, map_id: int) -> RigidTransform:
     """Causal output: map_from_imu = map_from_local * local_from_imu."""
-    if map_id not in state.map_tau:
+    if map_id not in state.bundles:
         raise FilterError(f"map {map_id} is not registered")
     return state.map_from_local(map_id) @ state.world_from_imu()

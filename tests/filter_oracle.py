@@ -49,6 +49,7 @@ def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
     cfg = state.config
     phi_acc = np.eye(IMU_DIM)
     q_acc = np.zeros((IMU_DIM, IMU_DIM))
+    q_il = Rotation(state.q_IL)
     t_prev = state.time
     for s0, s1 in zip(samples[:-1], samples[1:]):
         dt = s1.t - s0.t
@@ -56,15 +57,15 @@ def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
             raise FilterError(f"non-monotone IMU timestamps near t={s0.t}")
         t_prev = s0.t
 
-        r_il = state.q_IL.as_matrix()
+        r_il = q_il.as_matrix()
         omega = 0.5 * (s0.gyro + s1.gyro) - state.bg
         acc0 = s0.accel - state.ba
         acc1 = s1.accel - state.ba
 
         rot_inc = Rotation.from_rotvec(-omega * dt)
-        q_next = rot_inc @ state.q_IL
+        q_next = rot_inc @ q_il
         r_il_next = q_next.as_matrix()
-        q_mid = Rotation.from_rotvec(-omega * (0.5 * dt)) @ state.q_IL
+        q_mid = Rotation.from_rotvec(-omega * (0.5 * dt)) @ q_il
         # Simpson quadrature of the rotated specific force (midpoint rotation
         # is exact for piecewise-constant rates); needed to hold the 1e-5 m
         # round-trip budget at 200 Hz
@@ -93,10 +94,11 @@ def propagate(state: FilterState, samples: list[ImuSample]) -> FilterState:
         phi_acc = phi @ phi_acc
         q_acc = phi @ q_acc @ phi.T + q_step
 
-        state.q_IL = q_next
+        q_il = q_next
         state.v = v_next
         state.p = p_next
 
+    state.q_IL = q_il.quaternion.copy()
     n = state.dim
     state.P[:IMU_DIM, :IMU_DIM] = (phi_acc @ state.P[:IMU_DIM, :IMU_DIM] @ phi_acc.T
                                    + q_acc)
@@ -211,6 +213,14 @@ def _triangulate_views(r_cw: list[np.ndarray], t_cw: list[np.ndarray],
     return point
 
 
+def _clone_pose(state: FilterState, frame: int):
+    """(Rotation, position) of the clone of ``frame``; None outside the window."""
+    if ("clone", frame) not in state.keys:
+        return None
+    row = state.keys.index(("clone", frame))
+    return Rotation(state.quats[row]), state.positions[row]
+
+
 def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
     """MSCKF update from feature tracks over the sliding window.
 
@@ -227,7 +237,7 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
     a = state.active_dim
 
     for track in tracks[: cfg.max_tracks_per_update]:
-        obs = [o for o in track.observations if o.frame in state.clones]
+        obs = [o for o in track.observations if _clone_pose(state, o.frame) is not None]
         if len(obs) < 2:
             report.skipped += 1
             continue
@@ -236,7 +246,7 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
         r_cw, t_cw = [], []
         for o in obs:
             cam_from_imu = state.rig[o.camera_id].imu_from_camera.inverse()
-            q_clone, p_clone = state.clones[o.frame]
+            q_clone, p_clone = _clone_pose(state, o.frame)
             r_cw.append(cam_from_imu.rotation.as_matrix() @ q_clone.as_matrix())
             t_cw.append(cam_from_imu.translation - r_cw[-1] @ p_clone)
         point = _triangulate_views(r_cw, t_cw, [o.pixel for o in obs],
@@ -250,7 +260,7 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
         ok = True
         for k, o in enumerate(obs):
             cam = state.rig[o.camera_id]
-            q_clone, p_clone = state.clones[o.frame]
+            q_clone, p_clone = _clone_pose(state, o.frame)
             r_il = q_clone.as_matrix()
             cam_from_imu = cam.imu_from_camera.inverse()
             r_ci = cam_from_imu.rotation.as_matrix()
@@ -260,7 +270,7 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
                 ok = False
                 break
             pj = _projection_jacobian(cam, p_c)
-            base = state.clone_index(o.frame)
+            base = state.slot(("clone", o.frame))
             rows_x[2 * k:2 * k + 2, base:base + 3] = pj @ r_ci @ skew(p_in_imu)
             rows_x[2 * k:2 * k + 2, base + 3:base + 6] = -pj @ r_ci @ r_il
             rows_f[2 * k:2 * k + 2] = pj @ r_ci @ r_il
@@ -300,19 +310,22 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
 
 
 def _map_rows_for_landmark(state: FilterState, obs: MapObservation,
-                           items: list[MapMatchItem], point_map: np.ndarray,
-                           lifted: dict[tuple[int, int], bool]):
-    """Stacked rows (active, nuisance, feature, residual, noise) for one landmark."""
+                           items: list[MapMatchItem], point_map: np.ndarray):
+    """Stacked rows (active, nuisance, feature, residual, noise) for one landmark.
+
+    A keyframe's pose is its bundle's; a lifted one also gets nuisance columns.
+    """
     cfg = state.config
     a = state.active_dim
     n_dim = state.nuisance_dim
     map_id = obs.map_id
-    q_tau, p_tau = state.map_tau[map_id]
-    r_gl = q_tau.as_matrix()
-    r_il = state.q_IL.as_matrix()
+    tau = state.map_from_local(map_id)
+    p_tau = tau.translation
+    r_gl = tau.rotation.as_matrix()
+    r_il = Rotation(state.q_IL).as_matrix()
 
     rows_a, rows_n, rows_f, resid, sigmas = [], [], [], [], []
-    tau_base = state.tau_index(map_id)
+    tau_base = state.slot(("map", map_id))
 
     # current-camera rows (pixels)
     point_local = r_gl.T @ (point_map - p_tau)
@@ -349,12 +362,9 @@ def _map_rows_for_landmark(state: FilterState, obs: MapObservation,
     bundle = state.bundles[map_id]
     lm_id = items[0].landmark_id
     for kf_id in obs.anchors.get(lm_id, ())[: cfg.anchors_per_landmark]:
-        kf_data = bundle.keyframes[kf_id]
-        use_nuisance = lifted.get((map_id, kf_id), False)
-        if use_nuisance:
-            q_kf, p_kf = state.keyframes[(map_id, kf_id)]
-        else:
-            q_kf, p_kf = kf_data.pose.rotation, kf_data.pose.translation
+        kf_pose = bundle.keyframes[kf_id].pose
+        q_kf, p_kf = kf_pose.rotation, kf_pose.translation
+        use_nuisance = ("kf", map_id, kf_id) in state.keys
         r_gkf = q_kf.as_matrix()
         stored = bundle.landmarks[lm_id].position
         p_k = r_gkf.T @ (point_map - p_kf)
@@ -366,7 +376,7 @@ def _map_rows_for_landmark(state: FilterState, obs: MapObservation,
         row_n = np.zeros((2, n_dim))
         d_f = nj @ r_gkf.T
         if use_nuisance:
-            base = state.kf_index(map_id, kf_id) - a
+            base = state.slot(("kf", map_id, kf_id)) - a
             row_n[:, base:base + 3] = nj @ (-r_gkf.T @ skew(point_map - p_kf))
             row_n[:, base + 3:base + 6] = nj @ (-r_gkf.T)
         rows_a.append(row_block)
@@ -379,22 +389,20 @@ def _map_rows_for_landmark(state: FilterState, obs: MapObservation,
 
     # cross-map keyframe rows (normalized coordinates)
     for x_lm, other_map, other_lm in obs.cross:
-        if x_lm != lm_id or other_map not in state.map_tau:
+        if x_lm != lm_id or other_map not in state.bundles:
             continue
         other_bundle = state.bundles[other_map]
         other_rec = other_bundle.landmarks.get(other_lm)
         if other_rec is None:
             continue
-        q_tau_s, p_tau_s = state.map_tau[other_map]
-        r_sl = q_tau_s.as_matrix()
-        tau_s_base = state.tau_index(other_map)
+        tau_s = state.map_from_local(other_map)
+        p_tau_s = tau_s.translation
+        r_sl = tau_s.rotation.as_matrix()
+        tau_s_base = state.slot(("map", other_map))
         for kf_id in other_rec.observing_keyframes[: cfg.cross_anchors_per_landmark]:
-            use_nuisance = lifted.get((other_map, kf_id), False)
-            if use_nuisance:
-                q_kf, p_kf = state.keyframes[(other_map, kf_id)]
-            else:
-                kf_pose = other_bundle.keyframes[kf_id].pose
-                q_kf, p_kf = kf_pose.rotation, kf_pose.translation
+            kf_pose = other_bundle.keyframes[kf_id].pose
+            q_kf, p_kf = kf_pose.rotation, kf_pose.translation
+            use_nuisance = ("kf", other_map, kf_id) in state.keys
             r_skf = q_kf.as_matrix()
             v_s = r_sl @ point_local + p_tau_s
             p_k = r_skf.T @ (v_s - p_kf)
@@ -415,7 +423,7 @@ def _map_rows_for_landmark(state: FilterState, obs: MapObservation,
             row_block[:, tau_base + 3:tau_base + 6] = d_local @ (-r_gl.T)
             d_f = d_local @ r_gl.T
             if use_nuisance:
-                base = state.kf_index(other_map, kf_id) - a
+                base = state.slot(("kf", other_map, kf_id)) - a
                 row_n[:, base:base + 3] = nj @ (-r_skf.T @ skew(v_s - p_kf))
                 row_n[:, base + 3:base + 6] = nj @ (-r_skf.T)
             rows_a.append(row_block)
@@ -439,24 +447,23 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
     onto the left null space of its position Jacobian.  Nuisance keyframe
     means and their covariance block are bit-identical before and after.
     """
-    if obs.map_id not in state.map_tau:
+    if obs.map_id not in state.bundles:
         raise FilterError(f"map {obs.map_id} is not registered")
     cfg = state.config
     report = UpdateReport()
 
     # lift anchors first (state augmentation, not part of the update proper)
-    lifted: dict[tuple[int, int], bool] = {}
     for lm_id, kf_ids in obs.anchors.items():
         for kf_id in kf_ids[: cfg.anchors_per_landmark]:
-            lifted[(obs.map_id, kf_id)] = ensure_keyframe(state, obs.map_id, kf_id)
+            ensure_keyframe(state, obs.map_id, kf_id)
     for _, other_map, other_lm in obs.cross:
-        if other_map not in state.map_tau:
+        if other_map not in state.bundles:
             continue
         rec = state.bundles[other_map].landmarks.get(other_lm)
         if rec is None:
             continue
         for kf_id in rec.observing_keyframes[: cfg.cross_anchors_per_landmark]:
-            lifted[(other_map, kf_id)] = ensure_keyframe(state, other_map, kf_id)
+            ensure_keyframe(state, other_map, kf_id)
 
     a = state.active_dim
     n_dim = state.nuisance_dim
@@ -471,7 +478,7 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
         if rec is None:
             report.skipped += 1
             continue
-        built = _map_rows_for_landmark(state, obs, items, rec.position, lifted)
+        built = _map_rows_for_landmark(state, obs, items, rec.position)
         if built is None:
             report.skipped += 1
             continue

@@ -12,7 +12,7 @@ import numpy as np
 
 import mapvins.metrics as metrics
 from mapvins.geometry import RigidTransform, Rotation, wrap_angle, yaw_rotation
-from mapvins.harness import ExperimentConfig, _restrict_maps, run_localization, \
+from mapvins.harness import ExperimentConfig, _RestrictedScenario, run_localization, \
     local_frame_error_series, map_frame_error_series
 from mapvins.initializer import InitConfig, initialize
 from mapvins.msckf import (
@@ -37,6 +37,7 @@ from mapvins.solvers import (
 )
 
 from test_initializer import aligned_problem, brute_force_max_cliques
+from test_msckf import snapshot_nuisance
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -211,22 +212,16 @@ def test_criterion_5_filter_correctness():
         nonlocal max_null, schmidt_ok, steps
         # snapshot the nuisance block present before the update (lifting new
         # anchors is state augmentation, tracked separately)
-        pre_keys = list(state.keyframes)
-        pre_means = {k: (state.keyframes[k][0].quaternion.copy(),
-                         state.keyframes[k][1].copy()) for k in pre_keys}
-        a0 = state.active_dim
-        pre_nn = state.P[a0:, a0:].copy()
+        pre_means, pre_nn = snapshot_nuisance(state)
         out = orig_map(state, obs)
         if state.last_report.rows:
             max_null = max(max_null, state.last_report.max_nullspace_residual)
-        a1 = state.active_dim
-        n_pre = len(pre_keys)
-        for i, k in enumerate(pre_keys):
-            q, p = state.keyframes[k]
-            schmidt_ok &= np.array_equal(q.quaternion, pre_means[k][0])
-            schmidt_ok &= np.array_equal(p, pre_means[k][1])
-        schmidt_ok &= np.array_equal(state.P[a1:a1 + 6 * n_pre, a1:a1 + 6 * n_pre],
-                                     pre_nn[:6 * n_pre, :6 * n_pre])
+        post_means, post_nn = snapshot_nuisance(state)
+        n_pre = 6 * len(pre_means)
+        for k, (q, p) in pre_means.items():
+            schmidt_ok &= np.array_equal(post_means[k][0], q)
+            schmidt_ok &= np.array_equal(post_means[k][1], p)
+        schmidt_ok &= np.array_equal(post_nn[:n_pre, :n_pre], pre_nn)
         steps += 1
         _check_cov(state)
         return out
@@ -321,8 +316,8 @@ def test_criterion_7_multimap_and_multicam_orderings():
         cfg.ransac.polish = True
         scenario = Scenario(sc)
         e_f = run_localization(scenario, cfg).summary["local_rmse"]
-        e_1 = run_localization(_restrict_maps(scenario, [1]), cfg).summary["local_rmse"]
-        e_2 = run_localization(_restrict_maps(scenario, [2]), cfg).summary["local_rmse"]
+        e_1 = run_localization(_RestrictedScenario(scenario, [1]), cfg).summary["local_rmse"]
+        e_2 = run_localization(_RestrictedScenario(scenario, [2]), cfg).summary["local_rmse"]
         fused_err.append(e_f)
         map1_err.append(e_1)
         map2_err.append(e_2)

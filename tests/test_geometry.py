@@ -76,6 +76,11 @@ class TestRotation:
             vec = a[3] * b[:3] + b[3] * a[:3] - np.cross(a[:3], b[:3])
             expected = np.array([vec[0], vec[1], vec[2], a[3] * b[3] - a[:3] @ b[:3]])
             assert np.array_equal(_quat_product(a, b), expected)
+        # a stack multiplies row by row, each row rounding like the scalar form
+        stacked = _quat_product(quats[:, 0], quats[:, 1])
+        assert stacked.shape == (2000, 4)
+        for (a, b), row in zip(quats, stacked):
+            assert np.array_equal(row, _quat_product(a, b))
 
     def test_stacked_exp_map_matches_each_row(self):
         # the filter maps a whole IMU batch at once; every row must round

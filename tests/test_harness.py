@@ -8,7 +8,7 @@ import pytest
 
 from mapvins.harness import (
     ExperimentConfig,
-    _restrict_maps,
+    _RestrictedScenario,
     compare_modes,
     config_from_dict,
     load_config,
@@ -220,7 +220,7 @@ class TestCompareModes:
                                             "extra_outliers": 0.3}})
         scenario = Scenario(cfg.scenario)
         fused = run_localization(scenario, cfg).summary["local_rmse"]
-        singles = [run_localization(_restrict_maps(scenario, [m]), cfg)
+        singles = [run_localization(_RestrictedScenario(scenario, [m]), cfg)
                    .summary["local_rmse"] for m in (1, 2)]
         assert fused <= max(singles)
 

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from mapvins.msckf import (
     MapObservation,
     TrackObservation,
     _map_rows,
-    _small_rotation,
     _triangulate_tracks,
     clone_and_marginalize,
     current_pose_in_map,
@@ -42,9 +39,19 @@ def triangulate(world_from_cams, pixels, cams):
     return point[0] if ok[0] else None
 
 
+def small_rotation(dtheta):
+    """The rotation of the filter's error convention for a small ``dtheta``."""
+    return Rotation(np.r_[0.5 * np.asarray(dtheta), 1.0])
+
+
 def snapshot_nuisance(state):
-    means = {k: (q.quaternion.copy(), p.copy()) for k, (q, p) in state.keyframes.items()}
+    """The lifted keyframes' bundle poses and P_NN; asserts no keyframe mean is stored."""
     a = state.active_dim
+    assert len(state.quats) == len(state.positions) == (a - 15) // 6
+    assert all(key[0] == "kf" for key in state.keys[len(state.quats):])
+    poses = [state.bundles[m].keyframes[k].pose for _, m, k in state.keys[len(state.quats):]]
+    means = {key: (pose.rotation.quaternion.copy(), pose.translation.copy())
+             for key, pose in zip(state.keys[len(state.quats):], poses)}
     return means, state.P[a:, a:].copy()
 
 
@@ -94,7 +101,7 @@ class TestPropagate:
         st.set_pose(truth.pose(0), truth.velocities[0])
         propagate(st, truth.imu)
         assert np.linalg.norm(st.p - truth.positions[-1]) < 1e-5
-        assert st.q_IL.inverse().angle_to(truth.rotations[-1]) < 1e-6
+        assert st.world_from_imu().rotation.angle_to(truth.rotations[-1]) < 1e-6
 
     def test_map_states_bit_identical(self):
         rig = forward_camera()
@@ -104,16 +111,16 @@ class TestPropagate:
         bundle = make_map_bundle()
         register_map(st, bundle, RigidTransform(yaw_rotation(0.3), [1, 2, 3]))
         ensure_keyframe(st, 1, 0)
-        tau_before = (st.map_tau[1][0].quaternion.copy(), st.map_tau[1][1].copy())
-        kf_before = (st.keyframes[(1, 0)][0].quaternion.copy(),
-                     st.keyframes[(1, 0)][1].copy())
-        nn_before = st.P[st.active_dim:, st.active_dim:].copy()
+        assert st.keys == [("map", 1), ("kf", 1, 0)]
+        tau_before = (st.quats.copy(), st.positions.copy())
+        kf_before, nn_before = snapshot_nuisance(st)
         propagate(st, truth.imu)
-        assert np.array_equal(st.map_tau[1][0].quaternion, tau_before[0])
-        assert np.array_equal(st.map_tau[1][1], tau_before[1])
-        assert np.array_equal(st.keyframes[(1, 0)][0].quaternion, kf_before[0])
-        assert np.array_equal(st.keyframes[(1, 0)][1], kf_before[1])
-        assert np.array_equal(st.P[st.active_dim:, st.active_dim:], nn_before)
+        assert np.array_equal(st.quats, tau_before[0])
+        assert np.array_equal(st.positions, tau_before[1])
+        kf_after, nn_after = snapshot_nuisance(st)
+        assert np.array_equal(kf_after[("kf", 1, 0)][0], kf_before[("kf", 1, 0)][0])
+        assert np.array_equal(kf_after[("kf", 1, 0)][1], kf_before[("kf", 1, 0)][1])
+        assert np.array_equal(nn_after, nn_before)
 
     def test_non_monotone_time_rejected(self):
         rig = forward_camera()
@@ -129,16 +136,16 @@ class TestClone:
         st = FilterState(FilterConfig(), forward_camera())
         st.set_pose(RigidTransform(yaw_rotation(0.5), [1.0, 2.0, 3.0]), np.zeros(3))
         clone_and_marginalize(st, 0)
-        q, p = st.clones[0]
-        assert np.array_equal(q.quaternion, st.q_IL.quaternion)
-        assert np.array_equal(p, st.p)
+        assert st.keys == [("clone", 0)]
+        assert np.array_equal(st.quats[0], st.q_IL)
+        assert np.array_equal(st.positions[0], st.p)
 
     def test_window_never_exceeds_bound(self):
         cfg = FilterConfig(window_size=11)
         st = FilterState(cfg, forward_camera())
         for k in range(1000):
             clone_and_marginalize(st, k)
-            assert len(st.clones) <= cfg.window_size
+            assert st.n_clones <= cfg.window_size
             assert st.P.shape == (st.dim, st.dim)
 
     def test_dimension_bookkeeping_with_maps(self):
@@ -153,8 +160,11 @@ class TestClone:
             clone_and_marginalize(st, k)
             if rng.uniform() < 0.2:
                 ensure_keyframe(st, int(rng.integers(1, 3)), int(rng.integers(0, 3)))
-            expected = 15 + 6 * len(st.clones) + 6 * len(st.map_tau) \
-                + 6 * len(st.keyframes)
+            kinds = [key[0] for key in st.keys]
+            assert kinds == sorted(kinds, key=["clone", "map", "kf"].index)
+            assert kinds.count("clone") == min(k + 1, 5) and kinds.count("map") == 2
+            assert len(st.quats) == len(st.positions) == kinds.count("clone") + 2
+            expected = 15 + 6 * len(kinds)
             assert st.P.shape == (expected, expected)
             assert np.abs(st.P - st.P.T).max() < 1e-12
 
@@ -231,13 +241,13 @@ class TestUpdateMap:
                 ensure_keyframe(st, 1, kf)
         means_before, p_nn_before = snapshot_nuisance(st)
         p_before = st.p.copy()
-        q_before = st.q_IL.quaternion.copy()
-        tau_before = (st.map_tau[1][0].quaternion.copy(), st.map_tau[1][1].copy())
+        q_before = st.q_IL.copy()
+        tau_before = st.map_from_local(1).translation
         update_map(st, obs)
         assert st.last_report.used > 0
         assert np.abs(st.p - p_before).max() < 1e-10
-        assert np.abs(st.q_IL.quaternion - q_before).max() < 1e-10
-        assert np.abs(st.map_tau[1][1] - tau_before[1]).max() < 1e-10
+        assert np.abs(st.q_IL - q_before).max() < 1e-10
+        assert np.abs(st.map_from_local(1).translation - tau_before).max() < 1e-10
         means_after, p_nn_after = snapshot_nuisance(st)
         for key, (q, p) in means_before.items():
             assert np.array_equal(means_after[key][0], q)
@@ -251,7 +261,7 @@ class TestUpdateMap:
             for kf in kfs[:st.config.anchors_per_landmark]:
                 ensure_keyframe(st, 1, kf)
         means_before, p_nn_before = snapshot_nuisance(st)
-        tau_p_before = st.map_tau[1][1].copy()
+        tau_p_before = st.map_from_local(1).translation
         update_map(st, obs)
         assert st.last_report.used > 0
         # nuisance frozen bit-for-bit, active tau moved
@@ -260,7 +270,7 @@ class TestUpdateMap:
             assert np.array_equal(means_after[key][0], q)
             assert np.array_equal(means_after[key][1], p)
         assert np.array_equal(p_nn_after, p_nn_before)
-        assert np.abs(st.map_tau[1][1] - tau_p_before).max() > 1e-6
+        assert np.abs(st.map_from_local(1).translation - tau_p_before).max() > 1e-6
 
     def test_update_reduces_map_frame_pose_error(self):
         # the observation constrains the composed map-frame pose; measure that
@@ -362,9 +372,8 @@ class TestMapJacobians:
         obs = MapObservation(1, [m for m in obs.matches if m.landmark_id == lm],
                              {lm: (anchor_kf,)},
                              cross=[(lm, 2, 0)])
-        lifted = {(1, anchor_kf): True, (2, 0): True}
         owner, h, cols, h_f, resid, sigmas = _map_rows(
-            st, obs, [(lm, obs.matches, record.position)], lifted)
+            st, obs, [(lm, obs.matches, record.position)])
         assert np.array_equal(owner, np.zeros(len(owner)))
         # expand the stacked blocks to full-width rows of H
         rows = np.zeros((2 * len(h), st.dim))
@@ -373,48 +382,49 @@ class TestMapJacobians:
         rows_f = h_f.reshape(-1, 3)
         resid = resid.ravel()
 
-        def measure(state, point_map):
+        def measure(q_il, p_il, taus, keyframes, point_map):
             out = []
-            q_tau, p_tau = state.map_tau[1]
+            q_tau, p_tau = taus[1]
             point_local = q_tau.as_matrix().T @ (point_map - p_tau)
             for item in obs.matches:
-                cam = state.rig[item.camera_id]
+                cam = st.rig[item.camera_id]
                 cfi = cam.imu_from_camera.inverse()
                 p_c = cfi.rotation.as_matrix() @ (
-                    state.q_IL.as_matrix() @ (point_local - state.p)) + cfi.translation
+                    q_il.as_matrix() @ (point_local - p_il)) + cfi.translation
                 out.extend(cam.project(p_c))
-            q_kf, p_kf = state.keyframes[(1, anchor_kf)]
+            q_kf, p_kf = keyframes[("kf", 1, anchor_kf)]
             p_k = q_kf.as_matrix().T @ (point_map - p_kf)
             out.extend(p_k[:2] / p_k[2])
-            q2, p2 = state.map_tau[2]
+            q2, p2 = taus[2]
             v_s = q2.as_matrix() @ point_local + p2
-            qk2, pk2 = state.keyframes[(2, 0)]
+            qk2, pk2 = keyframes[("kf", 2, 0)]
             p_k2 = qk2.as_matrix().T @ (v_s - pk2)
             out.extend(p_k2[:2] / p_k2[2])
             return np.array(out)
 
         def perturb(dx_active, dx_nuis, dx_f):
-            s2 = copy.deepcopy(st)
-            s2.q_IL = _small_rotation(dx_active[0:3]) @ s2.q_IL
-            s2.v = s2.v + dx_active[3:6]
-            s2.p = s2.p + dx_active[6:9]
-            base = st.tau_index(1)
-            q, p = s2.map_tau[1]
-            s2.map_tau[1] = (_small_rotation(dx_active[base:base + 3]) @ q,
-                             p + dx_active[base + 3:base + 6])
-            base = st.tau_index(2)
-            q, p = s2.map_tau[2]
-            s2.map_tau[2] = (_small_rotation(dx_active[base:base + 3]) @ q,
-                             p + dx_active[base + 3:base + 6])
-            for k, key in enumerate(st.keyframes):
-                q, p = s2.keyframes[key]
-                s2.keyframes[key] = (_small_rotation(dx_nuis[6 * k:6 * k + 3]) @ q,
-                                     p + dx_nuis[6 * k + 3:6 * k + 6])
-            return measure(s2, record.position + dx_f)
+            # each pose moved by its error-state block: the map transforms
+            # from the filter's stack, the keyframes from their bundles
+            q_il = small_rotation(dx_active[0:3]) @ Rotation(st.q_IL)
+            p_il = st.p + dx_active[6:9]
+            taus = {}
+            for map_id in (1, 2):
+                base = st.slot(("map", map_id))
+                tau = st.map_from_local(map_id)
+                taus[map_id] = (small_rotation(dx_active[base:base + 3]) @ tau.rotation,
+                                tau.translation + dx_active[base + 3:base + 6])
+            keyframes = {}
+            for key in st.keys:
+                if key[0] == "kf":
+                    base = st.slot(key) - a
+                    pose = st.bundles[key[1]].keyframes[key[2]].pose
+                    keyframes[key] = (small_rotation(dx_nuis[base:base + 3]) @ pose.rotation,
+                                      pose.translation + dx_nuis[base + 3:base + 6])
+            return measure(q_il, p_il, taus, keyframes, record.position + dx_f)
 
         eps = 1e-6
         a, nd = st.active_dim, st.nuisance_dim
-        h0 = measure(st, record.position)
+        h0 = perturb(np.zeros(a), np.zeros(nd), np.zeros(3))
         assert len(h0) == len(resid)
         for k in range(a):
             dx = np.zeros(a)
@@ -469,14 +479,12 @@ class TestUpdateLocal:
     def test_zero_residual_tracks_do_not_move_state(self):
         st, tracks = self._tracked_state(noise=0.0)
         p_before = st.p.copy()
-        clones_before = {k: (q.quaternion.copy(), p.copy())
-                         for k, (q, p) in st.clones.items()}
+        quats_before, positions_before = st.quats.copy(), st.positions.copy()
         update_local(st, tracks)
         assert st.last_report.used > 0
         assert np.abs(st.p - p_before).max() < 1e-10
-        for k, (q, p) in st.clones.items():
-            assert np.abs(q.quaternion - clones_before[k][0]).max() < 1e-10
-            assert np.abs(p - clones_before[k][1]).max() < 1e-10
+        assert np.abs(st.quats - quats_before).max() < 1e-10
+        assert np.abs(st.positions - positions_before).max() < 1e-10
 
     def test_nullspace_dimension_and_orthogonality(self):
         st, tracks = self._tracked_state(noise=0.3, seed=2)

@@ -14,7 +14,7 @@ import pytest
 import filter_oracle as oracle
 import mapvins.harness as harness
 import mapvins.msckf as msckf
-from mapvins.geometry import RigidTransform, Rotation, yaw_rotation
+from mapvins.geometry import RigidTransform, Rotation, _quat_to_matrix, yaw_rotation
 from mapvins.harness import ExperimentConfig, run_localization
 from mapvins.sim import ImuNoiseParams, ImuSample, Scenario, ScenarioConfig, make_rig
 import test_msckf
@@ -44,13 +44,14 @@ def multimap_config(seed: int) -> ExperimentConfig:
 def error_state(after, before) -> np.ndarray:
     """Active-state change from ``before`` to ``after`` in the filter's error convention."""
     def rot(qa, qb):
-        return (qa @ qb.inverse()).as_rotvec()
+        return (Rotation(qa) @ Rotation(qb).inverse()).as_rotvec()
+    k = len(before.quats)
+    assert after.keys[:k] == before.keys[:k]
     parts = [rot(after.q_IL, before.q_IL), after.v - before.v, after.p - before.p,
              after.bg - before.bg, after.ba - before.ba]
-    for frame, (q, p) in before.clones.items():
-        parts += [rot(after.clones[frame][0], q), after.clones[frame][1] - p]
-    for map_id, (q, p) in before.map_tau.items():
-        parts += [rot(after.map_tau[map_id][0], q), after.map_tau[map_id][1] - p]
+    for row in range(k):
+        parts += [rot(after.quats[row], before.quats[row]),
+                  after.positions[row] - before.positions[row]]
     return np.concatenate(parts)
 
 
@@ -102,6 +103,31 @@ def test_recorded_multimap_calls_match_oracle(seed, monkeypatch):
     assert len(result.init_stats) == 3  # every map registered, cross rows in play
     assert calls["update_map"] >= 5 and used["update_map"] > 0
     assert calls["update_local"] >= 30 and used["update_local"] > 0
+
+
+@pytest.mark.parametrize("seed", [7001, 7002])
+def test_stored_attitudes_stay_on_so3(seed, monkeypatch):
+    # every correction renormalizes: after each filter call every stored
+    # quaternion is unit and its matrix orthogonal to 1e-14
+    worst = {"norm": 0.0, "orth": 0.0}
+
+    def checked(fn):
+        def run(state, arg):
+            fn(state, arg)
+            quats = np.vstack([state.q_IL, state.quats])
+            rot = _quat_to_matrix(quats)
+            worst["norm"] = max(worst["norm"], np.abs(np.linalg.norm(quats, axis=1) - 1).max())
+            worst["orth"] = max(worst["orth"],
+                                np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3)).max())
+            assert worst["norm"] <= 1e-14 and worst["orth"] <= 1e-14
+            return state
+        return run
+
+    for name in ("propagate", "update_local", "update_map"):
+        monkeypatch.setattr(harness, name, checked(getattr(msckf, name)))
+    cfg = multimap_config(seed)
+    result = run_localization(Scenario(cfg.scenario), cfg)
+    assert len(result.init_stats) == 3
 
 
 def random_track(rng, n_views):
