@@ -20,6 +20,20 @@ def project_points(points_cam, fx, fy, cx, cy) -> np.ndarray:
     return u
 
 
+def pinhole_jacobian(points_cam, fx=1.0, fy=1.0) -> np.ndarray:
+    """d(pixel)/d(point) of ``project_points``: (..., 3) -> (..., 2, 3).
+
+    fx = fy = 1 (the default) is the Jacobian of normalized image coordinates.
+    """
+    x, y, z = points_cam[..., 0], points_cam[..., 1], points_cam[..., 2]
+    jac = np.zeros(points_cam.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = fx / z
+    jac[..., 0, 2] = -fx * x / z ** 2
+    jac[..., 1, 1] = fy / z
+    jac[..., 1, 2] = -fy * y / z ** 2
+    return jac
+
+
 def normalize_pixels(pixels, fx, fy, cx, cy) -> np.ndarray:
     """Normalized image coordinates (vx, vy, 1) of pixels (..., 2); see ``project_points``."""
     u = np.asarray(pixels, dtype=float)

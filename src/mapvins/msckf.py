@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2
 
-from mapvins.cameras import CameraModel, normalize_pixels, project_points
+from mapvins.cameras import CameraModel, normalize_pixels, pinhole_jacobian, project_points
 from mapvins.geometry import (
     GRAVITY,
     RigidTransform,
@@ -409,20 +409,6 @@ def _schmidt_update(state: FilterState, h: np.ndarray, cols: np.ndarray,
     state.P[:a, :a] = 0.5 * (state.P[:a, :a] + state.P[:a, :a].T)
 
 
-def _pinhole_jacobian(p_c: np.ndarray, fx=1.0, fy=1.0) -> np.ndarray:
-    """d(pixel)/d(point) at stacked camera-frame points: (..., 3) -> (..., 2, 3).
-
-    fx = fy = 1 (the default) is the Jacobian of normalized image coordinates.
-    """
-    x, y, z = p_c[..., 0], p_c[..., 1], p_c[..., 2]
-    jac = np.zeros(p_c.shape[:-1] + (2, 3))
-    jac[..., 0, 0] = fx / z
-    jac[..., 0, 2] = -fx * x / z ** 2
-    jac[..., 1, 1] = fy / z
-    jac[..., 1, 2] = -fy * y / z ** 2
-    return jac
-
-
 def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
                         intrinsics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangulate T tracks of n observations each, all at once.
@@ -450,7 +436,7 @@ def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
         for _ in range(2):  # small GN polish on pixel residuals
             p_c = _transform(r_cw, point[:, None, :]) + t_cw
             ok &= (p_c[..., 2] >= 1e-2).all(axis=1)
-            jac = _pinhole_jacobian(p_c, fx, fy) @ r_cw
+            jac = pinhole_jacobian(p_c, fx, fy) @ r_cw
             res = pixels - project_points(p_c, fx, fy, cx, cy)
             jtj = np.einsum("tnki,tnkj->tij", jac, jac)
             jtr = np.einsum("tnki,tnk->ti", jac, res)
@@ -551,7 +537,7 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
         p_in_imu, p_c = p_in_imu[ok], p_c[ok]
         g = len(slot)
         fx, fy, cx, cy = np.moveaxis(intr, -1, 0)
-        d_imu = _pinhole_jacobian(p_c, fx, fy) @ r_ci
+        d_imu = pinhole_jacobian(p_c, fx, fy) @ r_ci
         h_f = d_imu @ r_il
         h = np.zeros((g, n_obs, 2, n_clones, 6))
         h[np.arange(g)[:, None], np.arange(n_obs), :, slot] = np.concatenate(
@@ -686,7 +672,7 @@ def _map_rows(state: FilterState, obs: MapObservation, landmarks: list) -> tuple
             r_ci, intr = rig.r_ci[cam], rig.intrinsics[cam]
             p_in_imu = (point_local[own] - state.p) @ r_il.T
             p_c = _transform(r_ci, p_in_imu) + rig.t_ci[cam]
-            d_imu = _pinhole_jacobian(p_c, intr[:, 0], intr[:, 1]) @ r_ci
+            d_imu = pinhole_jacobian(p_c, intr[:, 0], intr[:, 1]) @ r_ci
             d_local = d_imu @ r_il  # sensitivity to the point in {L}
             h[pos, :, 0, :3] = d_imu @ skew(p_in_imu)
             h[pos, :, 0, 3:] = -d_local
@@ -710,7 +696,7 @@ def _map_rows(state: FilterState, obs: MapObservation, landmarks: list) -> tuple
             in_map = np.where(cross[:, None], rotated + tau_p[source], point_map[own])
             p_k = _transform(r_kf_t, in_map - p_kf)
             z_k = _transform(r_kf_t, measured - p_kf)
-            nj = _pinhole_jacobian(p_k)
+            nj = pinhole_jacobian(p_k)
             d_map = nj @ r_kf_t
             d_local = d_map @ r_sl
             c_pos, c_own = pos[cross], own[cross]

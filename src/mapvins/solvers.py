@@ -24,6 +24,12 @@ and single matches, is one call of :func:`fit_translations`, which
 minimizes the perpendicular distances ``(I - r_k r_k^T) (R(alpha) F_k + t -
 c_k)`` of the points from their rays.
 
+RANSAC's winner and the initializer's cliques are polished by
+:func:`refine_yaw_pose`, which minimizes pixel residuals by damped
+Gauss-Newton with the analytic Jacobian (``cameras.pinhole_jacobian``); the
+step-size stop resolves the pose to rounding level, with no
+``scipy.optimize``.
+
 Solved pose convention: ``cam_from_map`` such that
 ``X_query = R(yaw) @ F_map + t``.  ``MatchResult.pose_in_map`` gives the
 inverse, the query pose expressed in the queried map's frame.
@@ -35,15 +41,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from mapvins.cameras import CameraModel
+from mapvins.cameras import CameraModel, pinhole_jacobian
 from mapvins.geometry import RigidTransform, Rotation, YawPose, decompose_yaw
 from mapvins.sim import Correspondence
 
 _MIN_DEPTH = 1e-3
 _RIDGE = 1e-15
 _VERIFY_BLOCK = 256    # candidates per projection pass of _Verifier.batch_errors
+_POLISH_ITERATIONS = 50  # cap on refine_yaw_pose's Gauss-Newton steps
+_POLISH_STOP = 1e-13     # relative step at which the polish has converged
+_POLISH_FLAT = 1e-9      # relative step accepted without a cost decrease
 
 
 class MatchingFailureError(RuntimeError):
@@ -56,8 +64,12 @@ class MatchingFrame:
 
     Row k of every per-match array is correspondence k.  Derived once, on
     construction: ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3),
-    the match's camera from the solving frame, and ``intrinsics`` (n, 4), its
-    fx, fy, cx, cy.
+    the match's camera from the solving frame, ``intrinsics`` (n, 4), its
+    fx, fy, cx, cy, and ``yaw_terms`` (n, 3, 3), the vectors a, b, c with
+    which its camera-frame point at (yaw, t) is ``cos*a + sin*b + c + R_cs t``:
+    ``R(yaw) F = cos*(Fx, Fy, 0) + sin*(-Fy, Fx, 0) + (0, 0, Fz)``, so
+    ``a = R_cs (Fx, Fy, 0)``, ``b = R_cs (-Fy, Fx, 0)`` and ``c = R_cs (0, 0,
+    Fz) + t_cs``.
     """
 
     rays: np.ndarray           # (n, 3) unit directions in the solving frame
@@ -71,6 +83,7 @@ class MatchingFrame:
     cam_rotation: np.ndarray = field(init=False)
     cam_translation: np.ndarray = field(init=False)
     intrinsics: np.ndarray = field(init=False)
+    yaw_terms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ids = sorted(self.cameras)
@@ -86,17 +99,23 @@ class MatchingFrame:
             "intrinsics": np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]
                                    ).reshape(-1, 4)[slot],
         }
+        fx, fy, fz = self.points.T
+        zero = np.zeros_like(fx)
+        planar = np.column_stack([fx, fy, zero])
+        turned = np.column_stack([-fy, fx, zero])
+        vertical = np.column_stack([zero, zero, fz])
+        terms = derived["yaw_terms"] = np.empty((len(fx), 3, 3))
+        for cam_id, pose in zip(ids, poses):
+            sel = np.flatnonzero(self.camera_ids == cam_id)
+            r_cs = pose.rotation.as_matrix()
+            terms[sel, 0] = (r_cs @ planar[sel].T).T
+            terms[sel, 1] = (r_cs @ turned[sel].T).T
+            terms[sel, 2] = (r_cs @ vertical[sel].T + pose.translation[:, None]).T
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def subset(self, idx) -> "MatchingFrame":
-        """The matches ``idx`` as a frame of their own."""
-        return MatchingFrame(self.rays[idx], self.centers[idx], self.points[idx],
-                             self.pixels[idx], self.camera_ids[idx], self.weights[idx],
-                             self.cameras, self.cam_from_solving)
 
     def camera_points(self, yaw: float, t, idx=slice(None)) -> np.ndarray:
         """Points of matches ``idx`` in their cameras, ``R_cs (R(yaw) F + t) + t_cs``."""
@@ -286,33 +305,21 @@ def _solve_pairs(frame: MatchingFrame, i: np.ndarray, j: np.ndarray):
 class _Verifier:
     """Vectorized inlier counting for candidate poses over a MatchingFrame.
 
-    ``R(yaw) F = cos*(Fx, Fy, 0) + sin*(-Fy, Fx, 0) + (0, 0, Fz)``, so each
-    camera group keeps per-match vectors ``a = R_cs (Fx, Fy, 0)``,
-    ``b = R_cs (-Fy, Fx, 0)`` and ``c = R_cs (0, 0, Fz) + t_cs``; a
-    candidate's camera coordinates are then ``cos*a + sin*b + c + R_cs t``,
-    for all candidates one (candidates, 3) x (3, 3 * matches) product.
+    A candidate's camera coordinates are ``cos*a + sin*b + c + R_cs t`` over
+    the frame's ``yaw_terms``; per camera group, all candidates take one
+    (candidates, 3) x (3, 3 * matches) product.
     """
 
     def __init__(self, frame: MatchingFrame):
         self.n, self.pixels = len(frame), frame.pixels
-        fx, fy, fz = frame.points.T
-        zero = np.zeros_like(fx)
-        planar = np.column_stack([fx, fy, zero])
-        turned = np.column_stack([-fy, fx, zero])
-        vertical = np.column_stack([zero, zero, fz])
         self.groups = []
         for cam_id in sorted(frame.cameras):
             sel = np.flatnonzero(frame.camera_ids == cam_id)
             if len(sel) == 0:
                 continue
-            cam = frame.cameras[cam_id]
-            cfs = frame.cam_from_solving[cam_id]
-            r_cs = cfs.rotation.as_matrix()
-            a = r_cs @ planar[sel].T                                # (axis, n_sel)
-            b = r_cs @ turned[sel].T
-            c = r_cs @ vertical[sel].T + cfs.translation[:, None]
-            abc = np.stack([a, b, c]).reshape(3, 3 * len(sel))     # (term, axis * n_sel)
-            self.groups.append((sel, cam, r_cs, abc))
+            r_cs = frame.cam_from_solving[cam_id].rotation.as_matrix()
+            abc = frame.yaw_terms[sel].transpose(1, 2, 0).reshape(3, 3 * len(sel))
+            self.groups.append((sel, frame.cameras[cam_id], r_cs, abc))
 
     def batch_errors(self, yaws: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Reprojection errors, shape (candidates, matches).
@@ -351,20 +358,76 @@ class _Verifier:
         return np.flatnonzero(self.errors(pose) <= threshold)
 
 
+def _pixel_residuals(frame: MatchingFrame, indices):
+    """The polish's residual function of ``x = (yaw, tx, ty, tz)``.
+
+    Over the matches ``indices`` it returns the pixel residuals (2n,), each
+    match's projection minus its pixel with the depth clipped at
+    ``_MIN_DEPTH``, and their Jacobian (2n, 4), ``pinhole_jacobian(p) R_cs
+    [dR(yaw)/dyaw F, I]`` with a zero depth column where the depth is
+    clipped.  The per-match vectors are gathered once, here.
+    """
+    idx = np.asarray(indices, dtype=int)
+    a, b, c = np.moveaxis(frame.yaw_terms[idx], 1, 0)
+    rot = frame.cam_rotation[idx]
+    f, c0 = frame.intrinsics[idx, :2], frame.intrinsics[idx, 2:]
+    pixels = frame.pixels[idx]
+
+    def evaluate(x):
+        cos, sin = math.cos(x[0]), math.sin(x[0])
+        p = cos * a + sin * b + c + rot @ x[1:]
+        clipped = p[:, 2] < _MIN_DEPTH
+        p[clipped, 2] = _MIN_DEPTH
+        res = f * p[:, :2] / p[:, 2:] + c0 - pixels
+        d = pinhole_jacobian(p, f[:, 0], f[:, 1])
+        d[clipped, :, 2] = 0.0
+        jac = np.empty((len(idx), 2, 4))
+        jac[..., 0] = np.einsum("nij,nj->ni", d, cos * b - sin * a)
+        jac[..., 1:] = d @ rot
+        return res.ravel(), jac.reshape(-1, 4)
+
+    return evaluate
+
+
 def refine_yaw_pose(frame: MatchingFrame, indices, yaw0: float, t0) -> YawPose:
-    """Nonlinear least-squares polish of (yaw, t) over pixel residuals."""
-    members = frame.subset(np.asarray(indices, dtype=int))
-    f, c0 = members.intrinsics[:, :2], members.intrinsics[:, 2:]
+    """Least-squares polish of (yaw, t) over the pixel residuals of ``indices``.
 
-    def residuals(x):
-        p_cam = members.camera_points(x[0], x[1:])
-        z = np.clip(p_cam[:, 2], _MIN_DEPTH, None)
-        pix = f * p_cam[:, :2] / z[:, None] + c0
-        return (pix - members.pixels).ravel()
-
-    sol = least_squares(residuals, np.array([yaw0, *np.asarray(t0, dtype=float)]),
-                        method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    return YawPose(sol.x[0], sol.x[1:])
+    Damped Gauss-Newton on the 4x4 normal equations with the exact Jacobian
+    of :func:`_pixel_residuals` (Levenberg-Marquardt; Madsen, Nielsen and
+    Tingleff 2004).  A step that lowers the cost is taken; on a rise the
+    damping grows and the step is tried again.  A step below
+    ``_POLISH_FLAT`` relative is taken whatever the cost, because near the
+    minimum the cost is flat at rounding level, and one below
+    ``_POLISH_STOP`` ends the polish.  A singular normal matrix (two
+    members, members on one ray, clipped depths) falls back to its
+    least-squares step.
+    """
+    evaluate = _pixel_residuals(frame, indices)
+    x = np.array([yaw0, *np.asarray(t0, dtype=float)])
+    res, jac = evaluate(x)
+    cost = res @ res
+    damping = 0.0
+    for _ in range(_POLISH_ITERATIONS):
+        hess, grad = jac.T @ jac, jac.T @ res
+        system = hess + np.diag(damping * hess.diagonal())
+        try:
+            step = -np.linalg.solve(system, grad)
+        except np.linalg.LinAlgError:
+            step = -np.linalg.lstsq(system, grad, rcond=None)[0]
+        if not np.isfinite(step).all():
+            break
+        size = math.sqrt(step @ step) / (1.0 + math.sqrt(x @ x))
+        if size <= _POLISH_STOP:
+            x = x + step
+            break
+        res_trial, jac_trial = evaluate(x + step)
+        cost_trial = res_trial @ res_trial
+        if cost_trial < cost or size <= _POLISH_FLAT:
+            x, res, jac, cost = x + step, res_trial, jac_trial, cost_trial
+            damping *= 0.1
+        else:
+            damping = max(10.0 * damping, 1e-3)
+    return YawPose(x[0], x[1:])
 
 
 def ransac_matching_frame(frame: MatchingFrame, cfg: RansacConfig) -> MatchResult:

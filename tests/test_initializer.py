@@ -630,8 +630,8 @@ class TestInitialize:
     def test_exact_inliers_polish_to_machine_precision(self):
         frame, truth, _ = aligned_problem(20, 1.0, 0.0, seed=8)
         res = initialize_frame(frame, InitConfig(sigma_px=0.0))
-        assert abs(wrap_angle(res.refined_pose.yaw - truth.yaw)) < 1e-6
-        assert np.linalg.norm(res.refined_pose.translation - truth.translation) < 1e-6
+        assert abs(wrap_angle(res.refined_pose.yaw - truth.yaw)) < 1e-12
+        assert np.linalg.norm(res.refined_pose.translation - truth.translation) < 1e-12
 
     def test_large_low_inlier_case_within_budget(self):
         frame, truth, _ = aligned_problem(150, 0.4, 1.0, seed=150)

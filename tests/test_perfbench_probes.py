@@ -36,3 +36,18 @@ def test_traced_multimap_run_reads_every_filter_metric(monkeypatch, tmp_path):
     assert outcome.attempted > 0 and outcome.failed == 0
     assert facts["restored"]
     assert set(outcome.metrics) == {m["name"] for m in spec["per_layer"]}
+
+
+def test_traced_hostile_run_sees_the_polish(monkeypatch, tmp_path):
+    # a tiny traced match-hostile run: both namespaces through which RANSAC
+    # and the initializer reach ``refine_yaw_pose`` must still be wrapped
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    outcome, facts = workloads.run("match-hostile", seed=7, seconds=0.5, trace=True,
+                                   workroot=tmp_path, tiny=True)
+    assert outcome.correct, outcome.problems
+    assert outcome.attempted > 0 and outcome.failed == 0
+    assert facts["restored"]
+    assert outcome.metrics["solvers.refine_ms"][0] > 0
+    assert set(outcome.metrics) == {m["name"] for m in spec["per_layer"]}

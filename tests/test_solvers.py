@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import mapvins.geometry as g
 import mapvins.solvers as solvers
 from mapvins.geometry import RigidTransform, YawPose, wrap_angle
+from mapvins.initializer import InitConfig, initialize
 from mapvins.sim import Scenario, ScenarioConfig, make_matching_problem
 from mapvins.solvers import (
     MatchingFailureError,
@@ -13,8 +15,10 @@ from mapvins.solvers import (
     align_correspondences,
     fit_translations,
     ransac_matching_frame,
+    refine_yaw_pose,
     ransac_pose,
     ransac_success_probability,
+    _pixel_residuals,
     _solve_pairs,
     _Verifier,
 )
@@ -22,10 +26,14 @@ from mapvins.solvers import (
 from two_point_oracle import (
     DegenerateSampleError,
     basis_fit,
+    CAMERA,
     exact_frame,
+    lm_refine_yaw_pose,
     rig_event,
     solve_2pt,
 )
+
+TABLE3_CASES = [(26, 0.82), (68, 0.78), (15, 0.47), (49, 0.65), (82, 0.72), (138, 0.38)]
 
 
 def kernel(frame, pairs):
@@ -314,6 +322,127 @@ class TestVerifier:
                 assert errs[c, k] == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert (errs[0] < 3.0).sum() > len(frame) / 2  # truth fits
         assert np.isinf(errs[1]).any()
+
+
+class TestRefineYawPose:
+    """The analytic polish against the finite-difference one it replaced."""
+
+    @staticmethod
+    def assert_agrees_with_oracle(frame, members, start):
+        got = refine_yaw_pose(frame, members, start.yaw, start.translation)
+        want = lm_refine_yaw_pose(frame, members, start.yaw, start.translation)
+        assert abs(wrap_angle(got.yaw - want.yaw)) < 1e-9
+        assert np.linalg.norm(got.translation - want.translation) < 1e-8
+
+    @pytest.mark.parametrize("n, w, seed", [*((n, w, n) for n, w in TABLE3_CASES),
+                                            (80, 0.4, 3), (400, 0.15, 1)])
+    def test_single_camera_matches_oracle(self, n, w, seed):
+        corrs, camera, wfc, truth = make_matching_problem(n, w, 1.0, seed=seed, tilt=0.1)
+        frame = align_correspondences(corrs, [camera], wfc.rotation)
+        members = [k for k, c in enumerate(corrs) if c.is_inlier]
+        start = YawPose(truth.yaw + 0.02, truth.translation + [0.1, -0.05, 0.08])
+        self.assert_agrees_with_oracle(frame, members, start)
+
+    @pytest.mark.parametrize("seed, event", [(2, 0), (3, 1), (5, 0), (6, 1)])
+    def test_rig_matches_oracle(self, seed, event):
+        frame, true_cfm, inliers = rig_event(seed, event)
+        assert len(set(frame.camera_ids[inliers].tolist())) > 1
+        true_yaw, _ = g.decompose_yaw(true_cfm.rotation)
+        start = YawPose(true_yaw - 0.01, true_cfm.translation + [-0.05, 0.04, 0.03])
+        self.assert_agrees_with_oracle(frame, inliers, start)
+
+    def test_jacobian_matches_central_differences(self):
+        # a rig frame whose first member is moved behind its camera, so its
+        # depth is clipped and its depth column must read zero
+        frame, true_cfm, inliers = rig_event(3, 0)
+        true_yaw, _ = g.decompose_yaw(true_cfm.rotation)
+        pose = YawPose(true_yaw + 0.03, true_cfm.translation + [0.2, -0.1, 0.05])
+        k = inliers[0]
+        r_cs, t_cs = frame.cam_rotation[k], frame.cam_translation[k]
+        solved = r_cs.T @ (np.array([0.3, -0.2, -2.0]) - t_cs)
+        points = frame.points.copy()
+        points[k] = pose.inverse().apply(solved)
+        frame = solvers.MatchingFrame(frame.rays, frame.centers, points, frame.pixels,
+                                      frame.camera_ids, frame.weights, frame.cameras,
+                                      frame.cam_from_solving)
+        evaluate = _pixel_residuals(frame, inliers)
+        x = np.array([pose.yaw, *pose.translation])
+        res, jac = evaluate(x)
+        p_cam = frame.camera_points(pose.yaw, pose.translation, inliers)
+        assert p_cam[0, 2] < 0.0 and (p_cam[1:, 2] > 1.0).all()
+        z = np.clip(p_cam[:, 2], solvers._MIN_DEPTH, None)
+        intr = frame.intrinsics[inliers]
+        pix = intr[:, :2] * p_cam[:, :2] / z[:, None] + intr[:, 2:]
+        np.testing.assert_allclose(res, (pix - frame.pixels[inliers]).ravel(),
+                                   rtol=1e-12, atol=1e-9)
+        h = 1e-6
+        numeric = np.column_stack([(evaluate(x + h * e)[0] - evaluate(x - h * e)[0]) / (2 * h)
+                                   for e in np.eye(4)])
+        scale = np.abs(numeric).max(axis=0)
+        assert (np.abs(jac - numeric) <= 1e-6 * scale).all()
+        assert np.abs(jac[:2]).max() > 1e5   # the clipped member: f / _MIN_DEPTH scale
+
+    @staticmethod
+    def projected_frame(points_cam, pose, pixels=None):
+        """One-camera frame of camera-frame points under ``pose``, pixels exact."""
+        points_cam = np.asarray(points_cam, dtype=float)
+        points = np.array([pose.inverse().apply(p) for p in points_cam])
+        frame = exact_frame(points, pose)
+        if pixels is None:
+            pixels = CAMERA.project(points_cam)
+        return solvers.MatchingFrame(frame.rays, frame.centers, frame.points,
+                                     np.asarray(pixels, dtype=float), frame.camera_ids,
+                                     frame.weights, frame.cameras, frame.cam_from_solving)
+
+    @pytest.mark.parametrize("case", ["two members", "one ray", "one clipped",
+                                      "all clipped"])
+    def test_degenerate_members_give_finite_pose(self, case):
+        pose = YawPose(0.4, [0.5, -0.3, 1.0])
+        in_front = [[0.5, 0.2, 4.0], [-1.0, 0.4, 6.0], [0.3, -0.8, 5.0], [1.2, 1.0, 7.0]]
+        behind = [[0.4, 0.1, -3.0], [-0.6, 0.5, -1.0], [0.2, 0.2, -0.5]]
+        pixels = None
+        if case == "two members":
+            points_cam = in_front[:2]
+        elif case == "one ray":
+            points_cam = [in_front[0], 2.0 * np.array(in_front[0])]
+        elif case == "one clipped":
+            points_cam = [*in_front, behind[0]]
+            pixels = [*CAMERA.project(np.array(in_front)), [300.0, 250.0]]
+        else:
+            points_cam = behind
+            pixels = [[300.0, 250.0], [310.0, 200.0], [350.0, 260.0]]
+        frame = self.projected_frame(points_cam, pose, pixels)
+        start = YawPose(pose.yaw + 0.05, pose.translation + [0.1, 0.1, -0.2])
+        refined = refine_yaw_pose(frame, range(len(frame)), start.yaw, start.translation)
+        assert math.isfinite(refined.yaw) and np.isfinite(refined.translation).all()
+        evaluate = _pixel_residuals(frame, range(len(frame)))
+        before = evaluate(np.array([start.yaw, *start.translation]))[0]
+        after = evaluate(np.array([refined.yaw, *refined.translation]))[0]
+        assert after @ after <= before @ before
+
+
+class TestPolishResolution:
+    """A pixel jitter at rounding level leaves matching's answer in place."""
+
+    @pytest.mark.parametrize("n, w", [(138, 0.38), (26, 0.82), (15, 0.47)])
+    def test_jittered_pixels_keep_inliers_and_pose(self, n, w):
+        corrs, camera, wfc, _ = make_matching_problem(n, w, 1.0, seed=n, tilt=0.1)
+        cfg = RansacConfig(iterations=300, polish=True, seed=2)
+        init_cfg = InitConfig(sigma_px=1.0)
+        base_r = ransac_pose(corrs, cfg, [camera], wfc.rotation)
+        base_i = initialize(corrs, init_cfg, [camera], wfc.rotation)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            jittered = [replace(c, pixel=np.asarray(c.pixel) + rng.uniform(-2e-13, 2e-13, 2))
+                        for c in corrs]
+            r = ransac_pose(jittered, cfg, [camera], wfc.rotation)
+            i = initialize(jittered, init_cfg, [camera], wfc.rotation)
+            assert r.inlier_indices == base_r.inlier_indices
+            assert i.translation_inliers == base_i.translation_inliers
+            assert np.abs(r.cam_from_map.translation
+                          - base_r.cam_from_map.translation).max() < 1e-12
+            assert np.abs(i.refined_pose.translation
+                          - base_i.refined_pose.translation).max() < 1e-12
 
 
 class TestRansac:

@@ -1,5 +1,5 @@
-"""Test helpers: array MatchingFrames, the SVD reference 2-point solver and
-the ray-basis translation fit.
+"""Test helpers: array MatchingFrames, the SVD reference 2-point solver, the
+ray-basis translation fit and the finite-difference pose polish.
 
 The reference solver is the readable form of the pair geometry that
 ``mapvins.solvers`` computes in batches.  Match k gives two rows of
@@ -9,19 +9,22 @@ translation block (from an SVD) eliminates t and leaves the pair's TIM
 ``d1 sin(alpha) + d2 cos(alpha) + d3``, whose roots back-substitute into a
 least-squares solve for t.  :func:`basis_fit` solves the same stacked rows
 for any group of matches, by normal equations or by ``lstsq``, the way the
-translation stages once did.  Production code never calls any of this.
+translation stages once did.  :func:`lm_refine_yaw_pose` is the polish
+``mapvins.solvers.refine_yaw_pose`` once was: scipy's Levenberg-Marquardt
+with a finite-difference Jacobian.  Production code never calls any of this.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 
 import mapvins.geometry as g
 from mapvins.cameras import CameraModel
 from mapvins.geometry import RigidTransform, YawPose, wrap_angle
 from mapvins.sim import Scenario, ScenarioConfig
-from mapvins.solvers import MatchingFrame, align_correspondences
+from mapvins.solvers import _MIN_DEPTH, MatchingFrame, align_correspondences
 
 CAMERA = CameraModel(0, 460, 460, 320, 240, 640, 480)
 
@@ -186,3 +189,21 @@ def basis_fit(frame: MatchingFrame, members, yaw: float, weights=None,
     else:
         t = np.linalg.lstsq(a, b, rcond=None)[0]
     return t, float(np.linalg.norm(a @ t - b))
+
+
+def lm_refine_yaw_pose(frame: MatchingFrame, indices, yaw0: float, t0) -> YawPose:
+    """The same pixel residuals as ``solvers.refine_yaw_pose``, minimized by
+    ``scipy.optimize.least_squares`` with 2-point finite differences.
+    """
+    idx = np.asarray(indices, dtype=int)
+    f, c0 = frame.intrinsics[idx, :2], frame.intrinsics[idx, 2:]
+
+    def residuals(x):
+        p_cam = frame.camera_points(x[0], x[1:], idx)
+        z = np.clip(p_cam[:, 2], _MIN_DEPTH, None)
+        pix = f * p_cam[:, :2] / z[:, None] + c0
+        return (pix - frame.pixels[idx]).ravel()
+
+    sol = least_squares(residuals, np.array([yaw0, *np.asarray(t0, dtype=float)]),
+                        method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    return YawPose(sol.x[0], sol.x[1:])
