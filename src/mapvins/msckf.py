@@ -21,6 +21,11 @@ update never moves it) and is not stored.  Every correction renormalizes
 every attitude; ``Rotation`` objects are built only in ``world_from_imu``,
 ``map_from_local`` and ``current_pose_in_map``.
 
+Feature updates: the tracks of ``update_local`` and the landmarks of
+``update_map`` each form one zero-padded stack per call, with one
+null-space QR, one chi-square gate at each feature's own dof and one
+Schmidt update.
+
 Error convention: left multiplicative for rotations,
 ``R = (I - skew(dtheta)) @ R_hat``, additive for everything else.  The filter
 is a single-owner mutable object; updates mutate in place and return the
@@ -135,6 +140,8 @@ class UpdateReport:
     skipped: int = 0
     rows: int = 0
     max_nullspace_residual: float = 0.0
+    nis: float = 0.0  # normalized innovation squared: gamma summed over used features
+    nis_dof: int = 0  # and their dof summed
 
 
 class _RigArrays:
@@ -410,11 +417,14 @@ def _schmidt_update(state: FilterState, h: np.ndarray, cols: np.ndarray,
 
 
 def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
-                        intrinsics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangulate T tracks of n observations each, all at once.
+                        intrinsics: np.ndarray, real: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate T tracks of up to n observations each, all at once.
 
     ``r_cw`` (T, n, 3, 3) and ``t_cw`` (T, n, 3) map world points into each
-    observing camera; ``pixels`` is (T, n, 2) and ``intrinsics`` (T, n, 4).
+    observing camera; ``pixels`` is (T, n, 2), ``intrinsics`` (T, n, 4) and
+    ``real`` (T, n) marks each track's views: a pad view repeats a real one
+    (a finite ray, a real depth) and adds nothing to either solve.
     The linear estimate solves the 3x3 normal equations
     sum (I - r r^T) x = sum (I - r r^T) c over the unit rays r from the
     camera centres c; two Gauss-Newton steps on the pixel residuals follow.
@@ -425,7 +435,7 @@ def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
     r_wc = np.swapaxes(r_cw, -1, -2)
     rays = _transform(r_wc, normalize_pixels(pixels, fx, fy, cx, cy))
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
-    perp = np.eye(3) - rays[..., :, None] * rays[..., None, :]
+    perp = (np.eye(3) - rays[..., :, None] * rays[..., None, :]) * real[..., None, None]
     normal = perp.sum(axis=1)
     rhs = _transform(perp, -_transform(r_wc, t_cw)).sum(axis=1)
     eig = np.linalg.eigvalsh(normal)
@@ -436,8 +446,8 @@ def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
         for _ in range(2):  # small GN polish on pixel residuals
             p_c = _transform(r_cw, point[:, None, :]) + t_cw
             ok &= (p_c[..., 2] >= 1e-2).all(axis=1)
-            jac = pinhole_jacobian(p_c, fx, fy) @ r_cw
-            res = pixels - project_points(p_c, fx, fy, cx, cy)
+            jac = pinhole_jacobian(p_c, fx, fy) @ r_cw * real[..., None, None]
+            res = (pixels - project_points(p_c, fx, fy, cx, cy)) * real[..., None]
             jtj = np.einsum("tnki,tnkj->tij", jac, jac)
             jtr = np.einsum("tnki,tnk->ti", jac, res)
             jtj[~ok] = np.eye(3)
@@ -449,47 +459,44 @@ def _triangulate_tracks(r_cw: np.ndarray, t_cw: np.ndarray, pixels: np.ndarray,
     return point, ok
 
 
-def _update_features(state: FilterState, groups: list, cols: np.ndarray,
+def _update_features(state: FilterState, h: np.ndarray, h_f: np.ndarray,
+                     resid: np.ndarray, dof: np.ndarray, cols: np.ndarray,
                      report: UpdateReport) -> None:
     """Null-space projection, chi-square gate and one Schmidt update.
 
-    Each group stacks the whitened rows of features with equal row count m:
-    H (G, m, k) on the state columns ``cols``, the feature Jacobian
-    (G, m, 3) and the residual (G, m).  Each feature is removed by projection
-    onto the left null space of its Jacobian; every feature is gated from
-    one P H^T product; the accepted rows are applied in one Schmidt update.
+    One zero-padded stack holds the whitened rows of every feature: H
+    (F, m, k) on the state columns ``cols``, the feature Jacobian (F, m, 3)
+    and the residual (F, m); feature g has ``dof[g] + 3`` real rows above
+    zero rows.  Householder QR leaves zero rows alone (Q is
+    ``diag(Q_real, I)``), so projecting onto each Jacobian's left null space
+    leaves a feature's ``dof[g]`` rows on top and exact zeros below.  Each
+    feature is gated at its own dof from one H P product over the real
+    rows; the real rows of the accepted ones are applied in one Schmidt
+    update.
     """
-    k = len(cols)
-    projected = []
-    for h, h_f, resid in groups:
-        q_mat, _ = np.linalg.qr(h_f, mode="complete")
-        null_t = q_mat[:, :, 3:].transpose(0, 2, 1)
-        report.max_nullspace_residual = max(report.max_nullspace_residual,
-                                            float(np.abs(null_t @ h_f).max()))
-        projected.append((null_t @ h, _transform(null_t, resid)))
-    if not projected:
+    if not len(dof):
         return
-    p_ht = state.P[np.ix_(cols, cols)] @ np.concatenate(
-        [h.reshape(-1, k) for h, _ in projected]).T
-    kept_h, kept_r = [], []
-    start = 0
-    for h, r in projected:
-        g, m, _ = h.shape
-        block = p_ht[:, start:start + g * m].reshape(k, g, m).transpose(1, 0, 2)
-        start += g * m
-        gamma = np.einsum("gi,gi->g", r, np.linalg.solve(h @ block + np.eye(m),
-                                                         r[..., None])[..., 0])
-        keep = gamma <= state._chi2_gate(m)
-        report.gated += int(np.count_nonzero(~keep))
-        report.used += int(np.count_nonzero(keep))
-        kept_h.append(h[keep].reshape(-1, k))
-        kept_r.append(r[keep].ravel())
-    h_all = np.concatenate(kept_h)
-    r_all = np.concatenate(kept_r)
-    report.rows = len(r_all)
-    if not report.rows:
-        return
-    _schmidt_update(state, h_all, cols, r_all)
+    m = h.shape[1]
+    q_mat, _ = np.linalg.qr(h_f, mode="complete")
+    null_t = q_mat[:, :, 3:].transpose(0, 2, 1)
+    report.max_nullspace_residual = max(report.max_nullspace_residual,
+                                        float(np.abs(null_t @ h_f).max()))
+    h = null_t @ h
+    r = _transform(null_t, resid)
+    real = np.arange(m - 3) < dof[:, None]
+    h_p = np.zeros_like(h)  # H P on the real rows only
+    h_p[real] = h[real] @ state.P[np.ix_(cols, cols)]
+    gamma = np.einsum("gi,gi->g", r, np.linalg.solve(h @ h_p.transpose(0, 2, 1)
+                                                     + np.eye(m - 3), r[..., None])[..., 0])
+    keep = gamma <= np.array([state._chi2_gate(d) for d in dof.tolist()])
+    report.gated += int(np.count_nonzero(~keep))
+    report.used += int(np.count_nonzero(keep))
+    report.nis += float(gamma[keep].sum())
+    report.nis_dof += int(dof[keep].sum())
+    rows = keep[:, None] & real
+    report.rows = int(np.count_nonzero(rows))
+    if report.rows:
+        _schmidt_update(state, h[rows], cols, r[rows])
 
 
 def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
@@ -498,58 +505,58 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
     Features are triangulated from the current clone estimates, their
     position dependency removed by left null-space projection (asserted
     orthogonal), then a Schmidt-style update is applied on the clone
-    columns only, so map keyframes stay frozen here too.  Tracks with the
-    same number of observations in the window are processed as one stack.
+    columns only, so map keyframes stay frozen here too.  Tracks of every
+    length form one zero-padded stack: a track of v views in the window is
+    gated at its own 2v - 3 dof.
     """
-    report = UpdateReport()
+    state.last_report = report = UpdateReport()
     cfg = state.config
     n_clones = state.n_clones
     slots = {key[1]: k for k, key in enumerate(state.keys[:n_clones])}
-    by_length: dict[int, list] = {}
+    views = []
     for track in tracks[: cfg.max_tracks_per_update]:
         obs = [o for o in track.observations if o.frame in slots]
         if len(obs) < 2:
             report.skipped += 1
             continue
-        by_length.setdefault(len(obs), []).append(obs)
+        views.append(obs)
+    if not views:
+        return state
 
+    # pad every track to the longest by repeating its first view
+    n_obs = max(map(len, views))
+    real = np.arange(n_obs) < np.array([len(obs) for obs in views])[:, None]
+    views = [obs + obs[:1] * (n_obs - len(obs)) for obs in views]
     rig = state._rig
-    clone_r = _quat_to_matrix(state.quats[:n_clones])
-    clone_p = state.positions[:n_clones]
+    slot = np.array([[slots[o.frame] for o in obs] for obs in views])
+    cam = np.array([[rig.index[o.camera_id] for o in obs] for obs in views])
+    pixels = np.array([[o.pixel for o in obs] for obs in views], dtype=float)
+    r_il, p_clone = _quat_to_matrix(state.quats[:n_clones])[slot], state.positions[slot]
+    r_ci, t_ci, intr = rig.r_ci[cam], rig.t_ci[cam], rig.intrinsics[cam]
+    r_cw = r_ci @ r_il
+    point, ok = _triangulate_tracks(r_cw, t_ci - _transform(r_cw, p_clone), pixels, intr,
+                                    real)
+    p_in_imu = _transform(r_il, point[:, None, :] - p_clone)
+    p_c = _transform(r_ci, p_in_imu) + t_ci
+    ok &= (p_c[..., 2] >= 1e-2).all(axis=1)
+    report.skipped += int(np.count_nonzero(~ok))
+    slot, pixels, r_il, r_ci, intr = slot[ok], pixels[ok], r_il[ok], r_ci[ok], intr[ok]
+    p_in_imu, p_c, real = p_in_imu[ok], p_c[ok], real[ok]
+    g = len(slot)
+    fx, fy, cx, cy = np.moveaxis(intr, -1, 0)
+    pad = real[..., None, None]  # pad views get zero rows
+    d_imu = pinhole_jacobian(p_c, fx, fy) @ r_ci * pad
+    h_f = d_imu @ r_il
+    h = np.zeros((g, n_obs, 2, n_clones, 6))
+    h[np.arange(g)[:, None], np.arange(n_obs), :, slot] = np.concatenate(
+        [d_imu @ skew(p_in_imu), -h_f], axis=-1)
+    resid = (pixels - project_points(p_c, fx, fy, cx, cy)) * pad[..., 0]
+    # whiten (unit noise) before the null-space projection
     sigma = cfg.local_sigma_px
-    groups = []
-    for n_obs, group in sorted(by_length.items()):
-        slot = np.array([[slots[o.frame] for o in obs] for obs in group])
-        cam = np.array([[rig.index[o.camera_id] for o in obs] for obs in group])
-        pixels = np.array([[o.pixel for o in obs] for obs in group], dtype=float)
-        r_il, p_clone = clone_r[slot], clone_p[slot]
-        r_ci, t_ci, intr = rig.r_ci[cam], rig.t_ci[cam], rig.intrinsics[cam]
-        r_cw = r_ci @ r_il
-        point, ok = _triangulate_tracks(r_cw, t_ci - _transform(r_cw, p_clone),
-                                        pixels, intr)
-        p_in_imu = _transform(r_il, point[:, None, :] - p_clone)
-        p_c = _transform(r_ci, p_in_imu) + t_ci
-        ok &= (p_c[..., 2] >= 1e-2).all(axis=1)
-        report.skipped += int(np.count_nonzero(~ok))
-        if not ok.any():
-            continue
-        slot, pixels, r_il, r_ci, intr = slot[ok], pixels[ok], r_il[ok], r_ci[ok], intr[ok]
-        p_in_imu, p_c = p_in_imu[ok], p_c[ok]
-        g = len(slot)
-        fx, fy, cx, cy = np.moveaxis(intr, -1, 0)
-        d_imu = pinhole_jacobian(p_c, fx, fy) @ r_ci
-        h_f = d_imu @ r_il
-        h = np.zeros((g, n_obs, 2, n_clones, 6))
-        h[np.arange(g)[:, None], np.arange(n_obs), :, slot] = np.concatenate(
-            [d_imu @ skew(p_in_imu), -h_f], axis=-1)
-        resid = pixels - project_points(p_c, fx, fy, cx, cy)
-        # whiten (unit noise) before the null-space projection
-        h /= sigma
-        groups.append((h.reshape(g, 2 * n_obs, 6 * n_clones),
-                       h_f.reshape(g, 2 * n_obs, 3) / sigma,
-                       resid.reshape(g, 2 * n_obs) / sigma))
-    _update_features(state, groups, IMU_DIM + np.arange(6 * n_clones), report)
-    state.last_report = report
+    _update_features(state, h.reshape(g, 2 * n_obs, 6 * n_clones) / sigma,
+                     h_f.reshape(g, 2 * n_obs, 3) / sigma,
+                     resid.reshape(g, 2 * n_obs) / sigma,
+                     2 * real.sum(axis=1) - 3, IMU_DIM + np.arange(6 * n_clones), report)
     return state
 
 
@@ -726,12 +733,13 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
     Landmark positions are never states: each landmark's rows are projected
     onto the left null space of its position Jacobian.  Nuisance keyframe
     means and their covariance block are bit-identical before and after.
-    Landmarks with the same number of row blocks are processed as one stack.
+    Landmarks of every block count form one zero-padded stack: a landmark
+    of b blocks is gated at its own 2b - 3 dof.
     """
     if obs.map_id not in state.bundles:
         raise FilterError(f"map {obs.map_id} is not registered")
     cfg = state.config
-    report = UpdateReport()
+    state.last_report = report = UpdateReport()
 
     # lift anchors first (state augmentation, not part of the update proper)
     for lm_id, kf_ids in obs.anchors.items():
@@ -769,15 +777,18 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
     counts = np.bincount(owner, minlength=len(landmarks))
     # a single 2-row block leaves nothing after removing 3 landmark dofs
     report.skipped += int(np.count_nonzero(counts < 2))
-    starts = np.cumsum(counts) - counts
-    groups = []
-    for n_blk in np.unique(counts[counts >= 2]):
-        idx = starts[counts == n_blk][:, None] + np.arange(n_blk)
-        g, m = len(idx), 2 * int(n_blk)
-        groups.append((h[idx].reshape(g, m, len(cols)), h_f[idx].reshape(g, m, 3),
-                       resid[idx].reshape(g, m)))
-    _update_features(state, groups, cols, report)
-    state.last_report = report
+    kept = counts >= 2
+    counts = counts[kept]
+    # one stack with zero pad blocks below each landmark's own
+    real = np.arange(counts.max(initial=2)) < counts[:, None]
+
+    def padded(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros(real.shape + rows.shape[1:])
+        out[real] = rows[kept[owner]]
+        return out.reshape(len(counts), -1, *rows.shape[2:])
+
+    _update_features(state, padded(h), padded(h_f), padded(resid), 2 * counts - 3, cols,
+                     report)
     return state
 
 

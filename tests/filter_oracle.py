@@ -7,8 +7,9 @@ sample), ``triangulate`` (one least-squares solve per track),
 ``update_local`` (one SVD null space and one gate per track, then one
 Schmidt update with an explicit all-zero nuisance Jacobian) and
 ``update_map`` (one row-assembly call and one full ``H P H^T`` gate per
-landmark).  Each function has the signature of its ``mapvins.msckf``
-counterpart and mutates the state the same way.
+landmark).  Each used feature adds its gamma and dof to the report's NIS.
+Each function has the signature of its ``mapvins.msckf`` counterpart and
+mutates the state the same way.
 """
 
 from __future__ import annotations
@@ -298,6 +299,8 @@ def update_local(state: FilterState, tracks: list[FeatureTrack]) -> FilterState:
         stacked_h.append(h_proj)
         stacked_r.append(r_proj)
         report.used += 1
+        report.nis += gamma
+        report.nis_dof += len(r_proj)
 
     if stacked_h:
         h_all = np.vstack(stacked_h)
@@ -512,6 +515,8 @@ def update_map(state: FilterState, obs: MapObservation) -> FilterState:
         stacked_n.append(h_n)
         stacked_r.append(r_proj)
         report.used += 1
+        report.nis += gamma
+        report.nis_dof += len(r_proj)
 
     if stacked_a:
         h_a = np.vstack(stacked_a)

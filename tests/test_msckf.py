@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import mapvins.msckf as msckf
 from mapvins.geometry import GRAVITY, RigidTransform, Rotation, yaw_rotation
 from mapvins.mapmodel import Landmark, MapBundle, MapKeyframe
 from mapvins.msckf import (
+    IMU_DIM,
     FeatureTrack,
     FilterConfig,
     FilterError,
@@ -13,6 +15,7 @@ from mapvins.msckf import (
     TrackObservation,
     _map_rows,
     _triangulate_tracks,
+    _update_features,
     clone_and_marginalize,
     current_pose_in_map,
     ensure_keyframe,
@@ -28,15 +31,27 @@ def forward_camera():
     return make_rig(1)
 
 
+def triangulate_batch(tracks):
+    """Triangulate (world_from_cams, pixels, cams) tracks in one call, each
+    padded to the longest by repeating its first view; None when rejected."""
+    n = max(len(pixels) for _, pixels, _ in tracks)
+    real = np.arange(n) < np.array([len(pixels) for _, pixels, _ in tracks])[:, None]
+
+    def padded(rows):
+        return np.array([list(r) + [r[0]] * (n - len(r)) for r in rows], dtype=float)
+
+    cams_from_world = [[wfc.inverse() for wfc in poses] for poses, _, _ in tracks]
+    points, ok = _triangulate_tracks(
+        padded([[c.rotation.as_matrix() for c in cfw] for cfw in cams_from_world]),
+        padded([[c.translation for c in cfw] for cfw in cams_from_world]),
+        padded([pixels for _, pixels, _ in tracks]),
+        padded([[[c.fx, c.fy, c.cx, c.cy] for c in cams] for _, _, cams in tracks]), real)
+    return [point if kept else None for point, kept in zip(points, ok)]
+
+
 def triangulate(world_from_cams, pixels, cams):
     """Triangulate one track with the batched kernel; None when rejected."""
-    cams_from_world = [wfc.inverse() for wfc in world_from_cams]
-    point, ok = _triangulate_tracks(
-        np.array([c.rotation.as_matrix() for c in cams_from_world])[None],
-        np.array([c.translation for c in cams_from_world])[None],
-        np.asarray(pixels, dtype=float)[None],
-        np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams])[None])
-    return point[0] if ok[0] else None
+    return triangulate_batch([(world_from_cams, pixels, cams)])[0]
 
 
 def small_rotation(dtheta):
@@ -514,6 +529,48 @@ class TestUpdateLocal:
             n = st.dim
             assert np.abs(st.P[:n, :n] - st.P[:n, :n].T).max() < 1e-9
             assert np.linalg.eigvalsh(st.P[:n, :n]).min() > -1e-9
+
+
+class TestPaddedStack:
+    def test_zero_pad_rows_leave_the_projection_exact(self, monkeypatch):
+        # the filter stacks features of 2-11 views zero-padded to 11: the
+        # installed LAPACK's complete QR must leave the pad rows of the
+        # projected H and r exactly 0 and the real rows those of the
+        # unpadded feature, or the update would keep extra rows
+        rng = np.random.default_rng(11)
+        views = rng.integers(2, 12, 200)
+        m, k = 22, IMU_DIM
+        h, h_f, resid = np.zeros((200, m, k)), np.zeros((200, m, 3)), np.zeros((200, m))
+        for g, v in enumerate(views):
+            h[g, :2 * v] = rng.normal(0, 1, (2 * v, k))
+            h_f[g, :2 * v] = rng.normal(0, 1, (2 * v, 3))
+            resid[g, :2 * v] = rng.normal(0, 1, 2 * v)
+        q_mat, _ = np.linalg.qr(h_f, mode="complete")
+        null_t = q_mat[:, :, 3:].transpose(0, 2, 1)
+        h_proj, r_proj = null_t @ h, (null_t @ resid[..., None])[..., 0]
+        for g, v in enumerate(views):
+            dof = 2 * v - 3
+            assert not h_proj[g, dof:].any() and not r_proj[g, dof:].any()
+            q_one, _ = np.linalg.qr(h_f[g, :2 * v], mode="complete")
+            scale = max(1.0, np.abs(h[g]).max(), np.abs(resid[g]).max())
+            assert np.abs(h_proj[g, :dof] - q_one[:, 3:].T @ h[g, :2 * v]).max() \
+                <= 1e-15 * scale
+            assert np.abs(r_proj[g, :dof] - q_one[:, 3:].T @ resid[g, :2 * v]).max() \
+                <= 1e-15 * scale
+
+        # the filter's own call keeps exactly the real rows, feature by feature
+        applied = {}
+        monkeypatch.setattr(msckf, "_schmidt_update",
+                            lambda state, rows, cols, r: applied.update(h=rows, r=r))
+        st = FilterState(FilterConfig(chi2_confidence=1.0 - 1e-12), forward_camera())
+        st.P = np.eye(IMU_DIM)
+        report = msckf.UpdateReport()
+        _update_features(st, h, h_f, resid, 2 * views - 3, np.arange(k), report)
+        assert report.used == 200 and report.max_nullspace_residual < 1e-10
+        assert report.rows == report.nis_dof == int((2 * views - 3).sum())
+        real = np.arange(m - 3) < (2 * views - 3)[:, None]
+        assert np.array_equal(applied["h"], h_proj[real])
+        assert np.array_equal(applied["r"], r_proj[real])
 
 
 class TestTriangulate:

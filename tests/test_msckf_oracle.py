@@ -7,6 +7,8 @@ the covariance to 1e-9 relative.
 """
 
 import copy
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ import mapvins.harness as harness
 import mapvins.msckf as msckf
 from mapvins.geometry import RigidTransform, Rotation, _quat_to_matrix, yaw_rotation
 from mapvins.harness import ExperimentConfig, run_localization
-from mapvins.sim import ImuNoiseParams, ImuSample, Scenario, ScenarioConfig, make_rig
+from mapvins.sim import (ImuNoiseParams, ImuSample, Scenario, ScenarioConfig,
+                         generate_trajectory, make_rig)
 import test_msckf
-from test_msckf import make_map_bundle, snapshot_nuisance
+from test_msckf import make_map_bundle, posed_state_with_observation, snapshot_nuisance
 
 REL_TOL = 1e-9
 
@@ -89,6 +92,9 @@ def test_recorded_multimap_calls_match_oracle(seed, monkeypatch):
             new_fn(state, arg)
             if name != "propagate":
                 assert report_counts(state.last_report) == report_counts(ref.last_report)
+                assert state.last_report.nis_dof == ref.last_report.nis_dof
+                assert abs(state.last_report.nis - ref.last_report.nis) \
+                    <= REL_TOL * ref.last_report.nis
                 assert state.last_report.max_nullspace_residual < 1e-10
                 used[name] += state.last_report.used
             assert_states_agree(state, ref, before)
@@ -153,13 +159,17 @@ def test_triangulate_matches_oracle():
     poses, pixels, cams = random_track(rng, 3)
     cases.append((poses, [cam.project(np.array([0.3, 0.1, -5.0]))] * 3, cams))  # behind
     kept = 0
-    for poses, pixels, cams in cases:
+    # the same tracks as one stack padded to 11 views, pad views repeating
+    # a real one, take the same decisions
+    batch = test_msckf.triangulate_batch(cases)
+    for (poses, pixels, cams), padded in zip(cases, batch):
         ref = oracle.triangulate(poses, pixels, cams)
         got = test_msckf.triangulate(poses, pixels, cams)
-        assert (got is None) == (ref is None)
+        assert (got is None) == (ref is None) == (padded is None)
         if ref is not None:
             kept += 1
             assert np.linalg.norm(got - ref) <= REL_TOL * np.linalg.norm(ref)
+            assert np.linalg.norm(padded - got) <= 1e-12 * np.linalg.norm(got)
     assert 250 <= kept < len(cases)
 
 
@@ -217,3 +227,81 @@ def test_update_local_schmidt_contract_with_nuisance_states():
     assert np.abs(st.P[:a, a:] - ref.P[:a, a:]).max() < 1e-12
     assert np.abs(st.P[:a, a:] - p_an_before).max() > 1e-9  # the update moved P_AN
     assert np.array_equal(st.P[a:, :a], st.P[:a, a:].T)
+
+
+def oracle_gamma(state, update, arg):
+    """The oracle's gamma of the one feature in ``arg``, with the gate opened."""
+    st = copy.deepcopy(state)
+    st.config = replace(st.config, chi2_confidence=1.0 - 1e-12)
+    st._chi2_cache = {}
+    update(st, arg)
+    assert st.last_report.used == 1
+    return st.last_report.nis
+
+
+def between_gates(lo, hi, gamma_of):
+    """A perturbation scale that puts ``gamma_of(scale)`` strictly inside (lo, hi)."""
+    scale = math.sqrt(math.sqrt(lo * hi) / gamma_of(1.0))
+    assert lo < gamma_of(scale) < hi
+    return scale
+
+
+def test_mixed_track_lengths_gate_each_at_its_own_dof():
+    # a 2-view track (1 dof) shares a stack padded to 11 views (22 rows):
+    # its gamma lies above its own gate but below the padded width's, so
+    # it is gated only if its own dof is used
+    cam = make_rig(1)[0]
+    st = msckf.FilterState(msckf.FilterConfig(), [cam])
+    st.set_imu_covariance(1e-2, 1e-2, 1e-1, 1e-4, 1e-3)
+    truth = generate_trajectory("line", 1.0, 200.0, velocity=(1.0, 0.3, 0.0))
+    first = truth.pose(0) @ cam.imu_from_camera
+    points = [first.apply(cam.normalize(np.array(pix)) * 6.0)
+              for pix in ([300.0, 220.0], [400.0, 300.0])]
+    pixels = []
+    for frame, fi in enumerate(range(0, 201, 20)):
+        st.set_pose(truth.pose(fi), truth.velocities[fi])
+        msckf.clone_and_marginalize(st, frame)
+        cam_from_world = (truth.pose(fi) @ cam.imu_from_camera).inverse()
+        pixels.append([cam.project(cam_from_world.apply(p)) for p in points])
+    assert st.n_clones == 11 and all(cam.in_bounds(px) for row in pixels for px in row)
+    long = msckf.FeatureTrack(0, tuple(msckf.TrackObservation(f, 0, pixels[f][0])
+                                       for f in range(11)))
+
+    def short(scale):
+        return msckf.FeatureTrack(1, (
+            msckf.TrackObservation(9, 0, pixels[9][1]),
+            msckf.TrackObservation(10, 0, pixels[10][1] + scale * np.array([0.6, 0.8]))))
+
+    scale = between_gates(st._chi2_gate(1), st._chi2_gate(2 * 11 - 3),
+                          lambda s: oracle_gamma(st, oracle.update_local, [short(s)]))
+    tracks = [short(scale), long]
+    ref = oracle.update_local(copy.deepcopy(st), tracks)
+    msckf.update_local(st, tracks)
+    assert report_counts(st.last_report) == report_counts(ref.last_report) == (1, 1, 0, 19)
+
+
+def test_mixed_block_counts_gate_each_landmark_at_its_own_dof():
+    # a landmark of 2 blocks (1 dof) shares a stack padded to 4 blocks
+    # (8 rows): one camera item and one anchor against two camera items and
+    # two anchors
+    st, _, obs = posed_state_with_observation()
+    multi = [m for m in obs.matches if len(obs.anchors[m.landmark_id]) >= 2]
+    long, short_item = multi[0], next(m for m in obs.matches if m is not multi[0])
+    anchors = {long.landmark_id: obs.anchors[long.landmark_id][:2],
+               short_item.landmark_id: obs.anchors[short_item.landmark_id][:1]}
+
+    def observation(scale):
+        short = msckf.MapMatchItem(0, short_item.pixel + scale * np.array([0.6, 0.8]),
+                                   short_item.landmark_id)
+        return msckf.MapObservation(1, [long, long, short], anchors)
+
+    def short_alone(scale):
+        alone = observation(scale)
+        alone.matches = alone.matches[2:]
+        return alone
+
+    scale = between_gates(st._chi2_gate(1), st._chi2_gate(2 * 4 - 3),
+                          lambda s: oracle_gamma(st, oracle.update_map, short_alone(s)))
+    ref = oracle.update_map(copy.deepcopy(st), observation(scale))
+    msckf.update_map(st, observation(scale))
+    assert report_counts(st.last_report) == report_counts(ref.last_report) == (1, 1, 0, 5)

@@ -51,3 +51,20 @@ def test_traced_hostile_run_sees_the_polish(monkeypatch, tmp_path):
     assert facts["restored"]
     assert outcome.metrics["solvers.refine_ms"][0] > 0
     assert set(outcome.metrics) == {m["name"] for m in spec["per_layer"]}
+
+
+def test_traced_odometry_run_reads_only_the_local_filter(monkeypatch, tmp_path):
+    # a tiny traced localize-odometry run: only the local update runs, so
+    # the map update and RANSAC read 0 while every per-layer metric is given
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    outcome, facts = workloads.run("localize-odometry", seed=7, seconds=0.5, trace=True,
+                                   workroot=tmp_path, tiny=True)
+    assert outcome.correct, outcome.problems
+    assert outcome.attempted > 0 and outcome.failed == 0
+    assert facts["restored"]
+    assert outcome.metrics["msckf.update_local_ms"][0] > 0
+    assert outcome.metrics["msckf.update_map_ms"][0] == 0
+    assert outcome.metrics["solvers.ransac_ms"][0] == 0
+    assert set(outcome.metrics) == {m["name"] for m in spec["per_layer"]}
